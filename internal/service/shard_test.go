@@ -3,8 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"flag"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -32,6 +36,21 @@ func TestShardSpecValidation(t *testing.T) {
 		{"sweep with points", JobSpec{Kind: KindSweep, Sweep: "s1", Quick: true, Points: []int{0}}, "shard-only"},
 		{"scenario with points", JobSpec{Kind: KindScenario, Scenario: "open", D: 8, N: 2, Trials: 1, Ell: 1,
 			Algo: "non-uniform", Budget: 100, Points: []int{0}}, "sweep-only"},
+
+		// Synth jobs: candidates, eval config, field bleed, point indexes
+		// against the (candidate × distance) evaluation grid of size 4.
+		{"synth valid", synthJob(nil), ""},
+		{"synth valid points", synthJob(func(s *JobSpec) { s.Points = []int{3, 0} }), ""},
+		{"synth no candidates", synthJob(func(s *JobSpec) { s.SynthSpecs = nil }), "at least one candidate"},
+		{"synth duplicate candidate", synthJob(func(s *JobSpec) { s.SynthSpecs[1] = s.SynthSpecs[0] }), "listed twice"},
+		{"synth unbuildable candidate", synthJob(func(s *JobSpec) { s.SynthSpecs[1] = unbuildableSynthCandidate }), "candidate 1"},
+		{"synth invalid eval", synthJob(func(s *JobSpec) { s.SynthDs = []int64{2, 0} }), "must be positive"},
+		{"synth sweep bleed", synthJob(func(s *JobSpec) { s.Sweep = "s1" }), "sweep-only"},
+		{"synth quick bleed", synthJob(func(s *JobSpec) { s.Quick = true }), "sweep-only"},
+		{"synth scenario bleed", synthJob(func(s *JobSpec) { s.Scenario = "open" }), "scenario-only"},
+		{"synth out of range", synthJob(func(s *JobSpec) { s.Points = []int{4} }), "out of range"},
+		{"synth negative", synthJob(func(s *JobSpec) { s.Points = []int{-1} }), "out of range"},
+		{"synth duplicate point", synthJob(func(s *JobSpec) { s.Points = []int{2, 2} }), "listed twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,6 +65,99 @@ func TestShardSpecValidation(t *testing.T) {
 				t.Fatalf("Validate = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// Two buildable candidates — a two-state diagonal drift and a four-state
+// uniform random walk — and one whose edge names a state the machine does
+// not have.
+const (
+	synthCandidateA           = `{"states":[{"name":"s0","label":"up"},{"name":"s1","label":"right"}],"start":"s0","edges":[{"from":"s0","to":"s1","p":1},{"from":"s1","to":"s0","p":1}]}`
+	synthCandidateB           = `{"states":[{"name":"s0","label":"up"},{"name":"s1","label":"right"},{"name":"s2","label":"down"},{"name":"s3","label":"left"}],"start":"s0","edges":[{"from":"s0","to":"s0","p":0.25},{"from":"s0","to":"s1","p":0.25},{"from":"s0","to":"s2","p":0.25},{"from":"s0","to":"s3","p":0.25},{"from":"s1","to":"s0","p":0.25},{"from":"s1","to":"s1","p":0.25},{"from":"s1","to":"s2","p":0.25},{"from":"s1","to":"s3","p":0.25},{"from":"s2","to":"s0","p":0.25},{"from":"s2","to":"s1","p":0.25},{"from":"s2","to":"s2","p":0.25},{"from":"s2","to":"s3","p":0.25},{"from":"s3","to":"s0","p":0.25},{"from":"s3","to":"s1","p":0.25},{"from":"s3","to":"s2","p":0.25},{"from":"s3","to":"s3","p":0.25}]}`
+	unbuildableSynthCandidate = `{"states":[{"name":"s0","label":"up"}],"start":"s0","edges":[{"from":"s0","to":"s9","p":1}]}`
+)
+
+// synthJob returns a fully explicit, valid synth spec over two
+// candidates and two distances (a 4-point grid), edited by mod.
+func synthJob(mod func(*JobSpec)) JobSpec {
+	s := JobSpec{
+		Kind:              KindSynth,
+		SynthSpecs:        []string{synthCandidateA, synthCandidateB},
+		SynthDs:           []int64{2, 4},
+		SynthAgents:       4,
+		Trials:            6,
+		SynthBudgetFactor: 16,
+		Seed:              9,
+	}
+	if mod != nil {
+		mod(&s)
+	}
+	return s
+}
+
+// Regenerate the grid-job golden artifacts after a deliberate grid,
+// kernel or artifact-layout change with:
+//
+//	go test ./internal/service -run GridJobArtifactsGolden -update
+var updateGolden = flag.Bool("update", false, "rewrite the golden artifacts under testdata/")
+
+// goldenShardSpec and goldenSynthSpec are the grid jobs whose artifacts
+// are pinned under testdata/: a shard job over two out-of-order points of
+// the quick S1 grid, and a synth job over its whole evaluation grid.
+func goldenShardSpec() JobSpec {
+	return JobSpec{Kind: KindShard, Sweep: "s1", Quick: true, Seed: 9, Points: []int{2, 0}}
+}
+
+func goldenSynthSpec() JobSpec { return synthJob(nil) }
+
+// elapsedField matches the per-point kernel timing of a shard artifact —
+// the one field of it that is run metadata rather than a function of the
+// spec. It is the last field of its object, so the match takes the
+// separating comma with it.
+var elapsedField = regexp.MustCompile(`,\n\s*"elapsed_sec": [^\n]*`)
+
+// TestGridJobArtifactsGolden pins the JSON and CSV artifacts of one
+// shard job and one synth job byte for byte, kernel timings aside, on a
+// cold daemon cache — the wire format both grid kinds share.
+func TestGridJobArtifactsGolden(t *testing.T) {
+	svc, err := New(Config{Workers: 1, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	for name, spec := range map[string]JobSpec{"shard_s1": goldenShardSpec(), "synth_eval": goldenSynthSpec()} {
+		job, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitTerminal(t, svc, job.ID); final.State != StateDone {
+			t.Fatalf("%s job ended %s (%s)", name, final.State, final.Error)
+		}
+		for _, format := range []string{"json", "csv"} {
+			got, err := svc.Artifact(job.ID, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if format == "json" {
+				got = elapsedField.ReplaceAll(got, nil)
+			}
+			path := filepath.Join("testdata", name+"."+format)
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden artifact (regenerate with -update): %v", err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("%s artifact drifted from %s:\ngot:\n%s\nwant:\n%s", name, path, got, want)
+			}
+		}
 	}
 }
 

@@ -52,18 +52,27 @@ func TestDurableRestartReplaysByteIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{sweepJob.ID, scenJob.ID} {
+	shardJob, err := svc1.Submit(goldenShardSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	synthEvalJob, err := svc1.Submit(goldenSynthSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{sweepJob.ID, scenJob.ID, shardJob.ID, synthEvalJob.ID}
+	for _, id := range ids {
 		if final := waitTerminal(t, svc1, id); final.State != StateDone {
 			t.Fatalf("job %s ended %s (%s)", id, final.State, final.Error)
 		}
 	}
 	jobs1 := mustJSON(t, svc1.Jobs())
-	events1 := map[string]string{
-		sweepJob.ID: mustJSON(t, eventsOf(t, svc1, sweepJob.ID)),
-		scenJob.ID:  mustJSON(t, eventsOf(t, svc1, scenJob.ID)),
+	events1 := map[string]string{}
+	for _, id := range ids {
+		events1[id] = mustJSON(t, eventsOf(t, svc1, id))
 	}
 	artifacts1 := map[string][]byte{}
-	for _, id := range []string{sweepJob.ID, scenJob.ID} {
+	for _, id := range ids {
 		for _, format := range []string{"json", "csv"} {
 			data, err := svc1.Artifact(id, format)
 			if err != nil {
@@ -90,7 +99,7 @@ func TestDurableRestartReplaysByteIdentically(t *testing.T) {
 			t.Errorf("replayed event log of %s differs:\nbefore: %s\nafter:  %s", id, want, got)
 		}
 	}
-	for _, id := range []string{sweepJob.ID, scenJob.ID} {
+	for _, id := range ids {
 		for _, format := range []string{"json", "csv"} {
 			data, err := svc2.Artifact(id, format)
 			if err != nil {
