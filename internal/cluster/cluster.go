@@ -11,8 +11,9 @@
 //     sweep.Report plus distribution accounting (shards, reassignments,
 //     steals, cache provenance).
 //   - Shards are contiguous chunks of cache-miss grid-point indexes,
-//     executed remotely as KindShard jobs (internal/service) through
-//     sweep.RunPoints on each worker.
+//     executed remotely as KindShard jobs (a registered sweep's grid) or
+//     KindSynth jobs (a synthesis evaluation grid, via SynthEvaluator)
+//     through sweep.RunPoints on each worker (internal/service).
 //
 // Fault model: a worker that stops answering (transport error, or
 // HeartbeatMisses consecutive failed liveness probes while a shard is in
@@ -34,11 +35,12 @@
 // driving warm workers ships point indexes and receives results as pure
 // metadata, with zero kernel calls anywhere.
 //
-// Determinism contract: the merged report is a function of (sweep, quick,
-// seed) only — never of fleet size, shard boundaries, worker failures,
-// steals, or cache state. This is inherited from the sweep layer's
-// per-point determinism (seeds derive from point parameters, not
-// expansion order) and pinned by the conformance tests.
+// Determinism contract: the merged report is a function of the job spec
+// (sweep, quick, seed; or candidates, eval config, seed) only — never of
+// fleet size, shard boundaries, worker failures, steals, or cache state.
+// This is inherited from the sweep layer's per-point determinism (seeds
+// derive from point parameters, not expansion order) and pinned by the
+// conformance tests.
 package cluster
 
 import (
@@ -50,11 +52,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/monitor"
 	"repro/internal/service"
 	"repro/internal/sweep"
-	"repro/internal/synth"
 )
 
 // Config parameterizes a Cluster.
@@ -238,23 +238,18 @@ type dispatcher struct {
 	st Stats
 }
 
-// plan is the kind-agnostic description of one distributed run: the grid
-// whose points are dispatched, how to build the worker job for a set of
-// point indexes, and the run's identity for cache keys and messages. The
-// dispatcher below is generic over it — sweep shards (Dispatch) and
-// synthesis evaluations (DispatchSynth) share every mechanism: heartbeat
-// failure detection, requeue, backpressure, work stealing, cache
-// federation, and the exactly-once merge.
+// plan is one distributed run: the job spec whose grid points are
+// dispatched, and that grid's expansion. The worker job for a set of
+// point indexes is the spec with Points set, so sweep shards (Dispatch,
+// NewDistributor) and synthesis evaluations (SynthEvaluator) share every
+// mechanism: heartbeat failure detection, requeue, backpressure, work
+// stealing, cache federation, and the exactly-once merge.
 type plan struct {
-	// label names the run in error messages ("sweep \"e1\"", "synth eval").
-	label string
-	// grid is the expanded grid; points its expansion.
+	// spec is the worker job, KindShard or KindSynth, without Points.
+	spec service.JobSpec
+	// grid is the expanded grid the spec names; points its expansion.
 	grid   sweep.Grid
 	points []sweep.Point
-	// seed keys the coordinator cache.
-	seed uint64
-	// makeSpec builds the worker job computing the given point indexes.
-	makeSpec func(idxs []int) service.JobSpec
 	// progress, when non-nil, receives one event per merged point.
 	progress func(Progress)
 }
@@ -264,79 +259,32 @@ type plan struct {
 // the fleet: in-flight shard jobs are cancelled remotely at their next
 // grid-point boundary before Dispatch returns ctx's error.
 func (c *Cluster) Dispatch(ctx context.Context, req Request) (*Dispatch, error) {
-	sp, err := experiment.LookupSweep(req.Sweep)
+	return c.run(ctx, service.JobSpec{
+		Kind:    service.KindSweep,
+		Sweep:   req.Sweep,
+		Quick:   req.Quick,
+		Seed:    req.Seed,
+		Workers: req.Workers,
+	}, req.Progress)
+}
+
+// run is the one entry of every distributed run (Dispatch,
+// NewDistributor, SynthEvaluator). It validates spec — a KindSweep or
+// KindSynth job — before any worker sees it, resolves its grid the way
+// the workers will, and dispatches the grid's points as KindShard (for a
+// sweep) or KindSynth jobs.
+func (c *Cluster) run(ctx context.Context, spec service.JobSpec, progress func(Progress)) (*Dispatch, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	g, _, _, err := spec.ResolveGrid()
 	if err != nil {
 		return nil, err
 	}
-	g := sp.Grid(experiment.Config{Seed: req.Seed, Quick: req.Quick})
-	return c.dispatch(ctx, plan{
-		label:  fmt.Sprintf("sweep %q", req.Sweep),
-		grid:   g,
-		points: g.Points(),
-		seed:   req.Seed,
-		makeSpec: func(idxs []int) service.JobSpec {
-			return service.JobSpec{
-				Kind:    service.KindShard,
-				Sweep:   req.Sweep,
-				Quick:   req.Quick,
-				Seed:    req.Seed,
-				Workers: req.Workers,
-				Points:  idxs,
-			}
-		},
-		progress: req.Progress,
-	})
-}
-
-// SynthRequest names one distributed synthesis evaluation: a batch of
-// candidate machine specs (canonical compact JSON, no duplicates) scored
-// on the synth evaluation grid across the fleet.
-type SynthRequest struct {
-	// Specs are the candidates, as synth.CompactJSON strings.
-	Specs []string
-	// Eval is the fully explicit scoring configuration (apply
-	// synth.EvalConfig.WithDefaults first); coordinator and workers must
-	// expand identical grids.
-	Eval synth.EvalConfig
-	// Seed is the evaluation seed (the search seed).
-	Seed uint64
-	// Workers bounds each job's internal concurrency on its worker.
-	// Results never depend on it.
-	Workers int
-	// Progress, when non-nil, receives one event per merged point.
-	Progress func(Progress)
-}
-
-// DispatchSynth scores one candidate batch across the fleet as KindSynth
-// jobs and returns the merged per-point report — byte-identical to what
-// a local synth.LocalEvaluator run of the same (batch, seed) computes —
-// plus distribution accounting. All of Dispatch's fault handling and
-// cache federation applies unchanged.
-func (c *Cluster) DispatchSynth(ctx context.Context, req SynthRequest) (*Dispatch, error) {
-	if err := req.Eval.Validate(); err != nil {
-		return nil, err
+	if spec.Kind == service.KindSweep {
+		spec.Kind = service.KindShard
 	}
-	g := synth.EvalGrid(req.Specs, req.Eval)
-	return c.dispatch(ctx, plan{
-		label:  "synth eval",
-		grid:   g,
-		points: g.Points(),
-		seed:   req.Seed,
-		makeSpec: func(idxs []int) service.JobSpec {
-			return service.JobSpec{
-				Kind:              service.KindSynth,
-				Seed:              req.Seed,
-				Workers:           req.Workers,
-				Points:            idxs,
-				SynthSpecs:        req.Specs,
-				SynthDs:           req.Eval.Ds,
-				SynthAgents:       req.Eval.Agents,
-				Trials:            req.Eval.Trials,
-				SynthBudgetFactor: req.Eval.BudgetFactor,
-			}
-		},
-		progress: req.Progress,
-	})
+	return c.dispatch(ctx, plan{spec: spec, grid: g, points: g.Points(), progress: progress})
 }
 
 // dispatch is the shared coordinator core: phase-1 local cache consult,
@@ -373,7 +321,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 	var pending []int
 	for i, p := range points {
 		if cache != nil && c.cfg.Resume {
-			if res, ok := cache.Get(sweep.KeyFor(g, p, pl.seed)); ok {
+			if res, ok := cache.Get(sweep.KeyFor(g, p, pl.spec.Seed)); ok {
 				d.results[i] = sweep.PointResult{Point: p, Cached: true, Result: res}
 				d.filled[i] = true
 				d.st.LocalHits++
@@ -434,7 +382,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 			return nil, d.abort
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: dispatch of %s cancelled: %w", pl.label, err)
+			return nil, fmt.Errorf("cluster: dispatch of grid %s cancelled: %w", g.Name, err)
 		}
 	}
 
@@ -449,7 +397,7 @@ func (c *Cluster) dispatch(ctx context.Context, pl plan) (*Dispatch, error) {
 	sort.Strings(d.st.Failed)
 	rep := &sweep.Report{
 		Grid:       g,
-		Seed:       pl.seed,
+		Seed:       pl.spec.Seed,
 		Points:     d.results,
 		CacheHits:  d.st.LocalHits + d.st.RemoteHits,
 		Computed:   len(points) - d.st.LocalHits - d.st.RemoteHits,
@@ -637,7 +585,9 @@ func (c *Cluster) runAttempt(ctx context.Context, d *dispatcher, client *service
 		}
 	}()
 
-	job, err := client.Submit(at.ctx, pl.makeSpec(at.shard.indexes))
+	spec := pl.spec
+	spec.Points = at.shard.indexes
+	job, err := client.Submit(at.ctx, spec)
 	if err == nil {
 		d.mu.Lock()
 		at.jobID = job.ID
@@ -820,7 +770,7 @@ func (d *dispatcher) commit(at *attempt, art *service.ShardArtifact, pl plan, ca
 		if cache != nil {
 			// Write-back keeps the federation warm; a full disk costs only
 			// the warmth, never the run.
-			_ = cache.Put(sweep.KeyFor(pl.grid, m.pr.Point, pl.seed), m.pr.Result)
+			_ = cache.Put(sweep.KeyFor(pl.grid, m.pr.Point, pl.spec.Seed), m.pr.Result)
 		}
 		if pl.progress != nil {
 			pl.progress(Progress{Done: m.done, Total: total, Point: m.pr.Point, Worker: at.worker, Cached: m.pr.Cached})

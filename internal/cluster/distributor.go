@@ -35,13 +35,7 @@ func NewDistributor(workers func() []string, cacheDir string, health *monitor.Mo
 				progress(sweep.Progress{Done: cp.Done, Total: cp.Total, Point: cp.Point, Cached: cp.Cached})
 			}
 		}
-		d, err := c.Dispatch(ctx, Request{
-			Sweep:    spec.Sweep,
-			Quick:    spec.Quick,
-			Seed:     spec.Seed,
-			Workers:  spec.Workers,
-			Progress: p,
-		})
+		d, err := c.run(ctx, spec, p)
 		if err != nil {
 			return nil, true, err
 		}

@@ -4,11 +4,12 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/service"
 	"repro/internal/synth"
 )
 
 // SynthEvaluator adapts a Cluster to synth.Evaluator: each candidate
-// batch the search proposes is scored across the fleet via DispatchSynth
+// batch the search proposes is scored across the fleet as KindSynth jobs
 // and folded back into curves with the same fold the local evaluator
 // uses — so a fleet-driven search replays the exact trajectory of a
 // local one, point for point and byte for byte.
@@ -34,13 +35,16 @@ var _ synth.Evaluator = (*SynthEvaluator)(nil)
 // Evaluate implements synth.Evaluator by fanning the batch across the
 // fleet.
 func (e *SynthEvaluator) Evaluate(ctx context.Context, specs []string) ([]*synth.Curve, error) {
-	d, err := e.Cluster.DispatchSynth(ctx, SynthRequest{
-		Specs:    specs,
-		Eval:     e.Eval,
-		Seed:     e.Seed,
-		Workers:  e.Workers,
-		Progress: e.Progress,
-	})
+	d, err := e.Cluster.run(ctx, service.JobSpec{
+		Kind:              service.KindSynth,
+		Seed:              e.Seed,
+		Workers:           e.Workers,
+		SynthSpecs:        specs,
+		SynthDs:           e.Eval.Ds,
+		SynthAgents:       e.Eval.Agents,
+		Trials:            e.Eval.Trials,
+		SynthBudgetFactor: e.Eval.BudgetFactor,
+	}, e.Progress)
 	if err != nil {
 		return nil, err
 	}

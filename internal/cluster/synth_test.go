@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -66,19 +67,36 @@ func TestSynthFleetMatchesLocalSearch(t *testing.T) {
 	}
 }
 
-// TestDispatchSynthValidation pins the request error cases: an invalid
+// TestSynthEvaluatorValidation pins the batch error cases: an invalid
 // eval config and an unbuildable candidate are rejected before any
 // worker sees a job.
-func TestDispatchSynthValidation(t *testing.T) {
+func TestSynthEvaluatorValidation(t *testing.T) {
 	ws := startFleet(t, 1)
 	c, err := New(Config{Workers: fleetURLs(ws)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.DispatchSynth(context.Background(), SynthRequest{
-		Specs: []string{`{"states":[{"name":"s0","label":"up"}],"start":"s0","edges":[{"from":"s0","to":"s0","p":1}]}`},
-	}); err == nil {
-		t.Error("empty eval config accepted")
+	buildable := `{"states":[{"name":"s0","label":"up"}],"start":"s0","edges":[{"from":"s0","to":"s0","p":1}]}`
+	unbuildable := `{"states":[{"name":"s0","label":"up"}],"start":"s0","edges":[{"from":"s0","to":"s9","p":1}]}`
+	valid := synthTestConfig(1).Eval
+	cases := []struct {
+		name  string
+		eval  synth.EvalConfig
+		specs []string
+		want  string
+	}{
+		{"empty eval config", synth.EvalConfig{}, []string{buildable}, "eval config"},
+		{"unbuildable candidate", valid, []string{buildable, unbuildable}, "candidate 1"},
+	}
+	for _, tc := range cases {
+		e := &SynthEvaluator{Cluster: c, Eval: tc.eval, Seed: 1}
+		_, err := e.Evaluate(context.Background(), tc.specs)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Evaluate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	if jobs := ws[0].svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("worker received %d jobs for rejected batches, want 0", len(jobs))
 	}
 }
 

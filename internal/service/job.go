@@ -7,8 +7,10 @@
 //
 // The moving parts:
 //
-//   - JobSpec names the work: a registered sweep (internal/experiment) or a
-//     single scenario configuration (internal/scenario) plus parameters.
+//   - JobSpec names the work: a registered sweep (internal/experiment), a
+//     single scenario configuration (internal/scenario), or a subset of a
+//     sweep's or a synthesis evaluation's grid points (the worker half of
+//     internal/cluster) plus parameters.
 //   - Job is the lifecycle record: queued → running → done | failed |
 //     cancelled, with progress counters and timestamps.
 //   - Service owns the queue, the worker pool, the per-job event logs and
@@ -30,6 +32,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 	"repro/internal/synth"
 )
 
@@ -83,23 +86,25 @@ const (
 	KindSynth = "synth"
 )
 
-// JobSpec describes one experiment job. Kind selects which of the three
-// families the spec names; the remaining fields parameterize it. The zero
+// JobSpec describes one experiment job. Kind selects which of the four
+// kinds the spec names; the remaining fields parameterize it. The zero
 // values of the optional fields are filled in by Normalize with the same
 // defaults the antsim CLI uses, so a spec submitted over the wire and the
 // equivalent CLI invocation describe identical computations.
 type JobSpec struct {
-	// Kind is KindSweep, KindScenario or KindShard.
+	// Kind is KindSweep, KindScenario, KindShard or KindSynth.
 	Kind string `json:"kind"`
 
-	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2"); KindSweep
-	// and KindShard.
+	// Sweep is the registered sweep id ("e1", "e5", "s1", "s2", "s3");
+	// KindSweep and KindShard.
 	Sweep string `json:"sweep,omitempty"`
 	// Quick shrinks the sweep's grid and trial counts (antsim -quick);
 	// KindSweep and KindShard.
 	Quick bool `json:"quick,omitempty"`
-	// Points are the grid-point expansion indexes a shard job computes
-	// (unique, each in [0, grid size)); KindShard only.
+	// Points are the grid-point expansion indexes a grid job computes
+	// (unique, each in [0, grid size) of the grid ResolveGrid names):
+	// required for KindShard; optional for KindSynth, where empty means
+	// every (candidate, distance) cell.
 	Points []int `json:"points,omitempty"`
 
 	// Scenario is the scenario spec string ("torus:l=48", "crash", ...);
@@ -123,8 +128,6 @@ type JobSpec struct {
 
 	// SynthSpecs are the candidate machine specs to score, as canonical
 	// compact JSON (synth.CompactJSON), no duplicates; KindSynth only.
-	// Points, when set, selects (candidate, distance) cells of the
-	// evaluation grid by expansion index; empty means every cell.
 	SynthSpecs []string `json:"synth_specs,omitempty"`
 	// SynthDs are the hit-time curve distances (default {8, 16});
 	// KindSynth only.
@@ -139,9 +142,9 @@ type JobSpec struct {
 	// Seed is the root random seed (default 0; pass the CLI's -seed value
 	// to reproduce a CLI run).
 	Seed uint64 `json:"seed"`
-	// Workers bounds the job's internal concurrency: sweep-point shards
-	// for KindSweep, engine workers for KindScenario (0 = GOMAXPROCS).
-	// Results never depend on it.
+	// Workers bounds the job's internal concurrency: concurrently running
+	// grid points for KindSweep, KindShard and KindSynth, engine workers
+	// for KindScenario (0 = GOMAXPROCS). Results never depend on it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -183,18 +186,16 @@ func (s *JobSpec) Normalize() {
 }
 
 // Validate checks the (normalized) spec against the registries it names:
-// the sweep id must be registered in internal/experiment, the scenario
-// spec must build in internal/scenario, and the algorithm name must
-// resolve. It reports the first problem found.
+// the sweep id must be registered in internal/experiment, the synth
+// candidates must build, the scenario spec must build in
+// internal/scenario, the algorithm name must resolve, and a grid job's
+// point indexes must be unique and in range of the grid ResolveGrid
+// names. It reports the first problem found.
 func (s JobSpec) Validate() error {
 	switch s.Kind {
 	case KindSweep, KindShard:
 		if s.Sweep == "" {
 			return fmt.Errorf("service: %s job needs a sweep id", s.Kind)
-		}
-		sp, err := experiment.LookupSweep(s.Sweep)
-		if err != nil {
-			return err
 		}
 		if s.Scenario != "" || s.Algo != "" || s.D != 0 || s.N != 0 || s.Ell != 0 || s.Budget != 0 || s.Trials != 0 {
 			return fmt.Errorf("service: %s job sets scenario-only fields", s.Kind)
@@ -202,25 +203,11 @@ func (s JobSpec) Validate() error {
 		if len(s.SynthSpecs) != 0 || len(s.SynthDs) != 0 || s.SynthAgents != 0 || s.SynthBudgetFactor != 0 {
 			return fmt.Errorf("service: %s job sets synth-only fields", s.Kind)
 		}
-		if s.Kind == KindSweep {
-			if len(s.Points) != 0 {
-				return fmt.Errorf("service: sweep job sets shard-only field points (use kind %q)", KindShard)
-			}
-			break
+		if s.Kind == KindSweep && len(s.Points) != 0 {
+			return fmt.Errorf("service: sweep job sets shard-only field points (use kind %q)", KindShard)
 		}
-		if len(s.Points) == 0 {
+		if s.Kind == KindShard && len(s.Points) == 0 {
 			return fmt.Errorf("service: shard job needs at least one grid-point index")
-		}
-		size := sp.Grid(experiment.Config{Quick: s.Quick}).Size()
-		seen := make(map[int]bool, len(s.Points))
-		for _, idx := range s.Points {
-			if idx < 0 || idx >= size {
-				return fmt.Errorf("service: shard point index %d out of range [0,%d) of sweep %q", idx, size, s.Sweep)
-			}
-			if seen[idx] {
-				return fmt.Errorf("service: shard point index %d listed twice", idx)
-			}
-			seen[idx] = true
 		}
 	case KindSynth:
 		if s.Sweep != "" || s.Quick {
@@ -249,17 +236,6 @@ func (s JobSpec) Validate() error {
 		if err := s.synthEval().Validate(); err != nil {
 			return err
 		}
-		size := synth.EvalGrid(s.SynthSpecs, s.synthEval()).Size()
-		seen := make(map[int]bool, len(s.Points))
-		for _, idx := range s.Points {
-			if idx < 0 || idx >= size {
-				return fmt.Errorf("service: synth point index %d out of range [0,%d)", idx, size)
-			}
-			if seen[idx] {
-				return fmt.Errorf("service: synth point index %d listed twice", idx)
-			}
-			seen[idx] = true
-		}
 	case KindScenario:
 		if s.Scenario == "" {
 			return fmt.Errorf("service: scenario job needs a scenario spec (e.g. %q)", "open")
@@ -287,10 +263,49 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("service: unknown job kind %q (valid: %q, %q, %q, %q)", s.Kind, KindSweep, KindScenario, KindShard, KindSynth)
 	}
+	if s.Kind != KindScenario {
+		g, _, _, err := s.ResolveGrid()
+		if err != nil {
+			return err
+		}
+		size := g.Size()
+		seen := make(map[int]bool, len(s.Points))
+		for _, idx := range s.Points {
+			if idx < 0 || idx >= size {
+				return fmt.Errorf("service: %s point index %d out of range [0,%d) of grid %s", s.Kind, idx, size, g.Name)
+			}
+			if seen[idx] {
+				return fmt.Errorf("service: %s point index %d listed twice", s.Kind, idx)
+			}
+			seen[idx] = true
+		}
+	}
 	if s.Workers < 0 {
 		return fmt.Errorf("service: workers must be ≥ 0, got %d", s.Workers)
 	}
 	return nil
+}
+
+// ResolveGrid names the grid a grid job (KindSweep, KindShard or
+// KindSynth) computes: the expanded grid, its point kernel, and the label
+// its shard artifacts carry. Sweep and shard specs resolve through the
+// experiment registry (label: the sweep id); synth specs resolve to the
+// synthesis evaluation grid over their candidates (label: "synth"). It
+// is the one mapping from a spec to its grid, shared by the worker that
+// executes the points and the coordinator that ships and merges them.
+func (s JobSpec) ResolveGrid() (sweep.Grid, sweep.PointFunc, string, error) {
+	switch s.Kind {
+	case KindSweep, KindShard:
+		sp, err := experiment.LookupSweep(s.Sweep)
+		if err != nil {
+			return sweep.Grid{}, nil, "", err
+		}
+		return sp.Grid(experiment.Config{Quick: s.Quick}), sp.Point, sp.Name, nil
+	case KindSynth:
+		return synth.EvalGrid(s.SynthSpecs, s.synthEval()), synth.Kernel, KindSynth, nil
+	default:
+		return sweep.Grid{}, nil, "", fmt.Errorf("service: %s job names no grid", s.Kind)
+	}
 }
 
 // synthEval assembles the synth evaluation config a KindSynth spec

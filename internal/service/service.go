@@ -737,45 +737,34 @@ func (s *Service) executeJob(ctx context.Context, rec *record) ([]byte, []byte, 
 		return s.executeSweep(ctx, rec, spec)
 	case KindScenario:
 		return s.executeScenario(ctx, rec, spec)
-	case KindShard:
-		return s.executeShard(ctx, rec, spec)
-	case KindSynth:
-		return s.executeSynth(ctx, rec, spec)
+	case KindShard, KindSynth:
+		return s.executeGrid(ctx, rec, spec)
 	default:
 		return nil, nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
 	}
 }
 
 // executeSweep runs a registered sweep exactly like `antsim -sweep`: same
-// config derivation, same Summary artifacts. With a CacheDir the run
-// resumes from previously computed points; cache provenance shows up in
-// the JSON artifact's metadata but never changes the CSV bytes.
+// grid, kernel and options as a grid job (gridOptions), same Summary
+// artifacts. With a CacheDir the run resumes from previously computed
+// points; cache provenance shows up in the JSON artifact's metadata but
+// never changes the CSV bytes.
 func (s *Service) executeSweep(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	sp, err := experiment.LookupSweep(spec.Sweep)
+	g, point, _, err := spec.ResolveGrid()
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := experiment.Config{
-		Seed:     spec.Seed,
-		Quick:    spec.Quick,
-		Workers:  spec.Workers,
-		CacheDir: s.cfg.CacheDir,
-		Resume:   s.cfg.CacheDir != "",
-	}
-	rec.setTotal(sp.Grid(cfg).Size())
-	progress := func(p sweep.Progress) {
-		s.pointsDone.Add(1)
-		if p.Cached {
-			s.pointsCached.Add(1)
-		}
-		rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
+	rec.setTotal(g.Size())
+	opts, err := s.gridOptions(rec, spec)
+	if err != nil {
+		return nil, nil, err
 	}
 	var rep *sweep.Report
 	if d := s.getDistributor(); d != nil {
 		// Distributed execution: the cluster layer shards the grid across
 		// joined workers and merges a report identical to a local run's.
 		// handled=false (no live fleet) falls through to local execution.
-		drep, handled, err := d(ctx, spec, progress)
+		drep, handled, err := d(ctx, spec, opts.Progress)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -784,11 +773,9 @@ func (s *Service) executeSweep(ctx context.Context, rec *record, spec JobSpec) (
 		}
 	}
 	if rep == nil {
-		_, lrep, err := experiment.RunSweepContext(ctx, sp, cfg, progress)
-		if err != nil {
+		if rep, err = sweep.RunContext(ctx, g, point, opts); err != nil {
 			return nil, nil, err
 		}
-		rep = lrep
 	}
 	sum := rep.Summary()
 	jsonB, err := sum.JSON()

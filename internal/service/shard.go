@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/experiment"
 	"repro/internal/sweep"
 )
 
@@ -66,55 +65,37 @@ func ParseShardArtifact(data []byte) (*ShardArtifact, error) {
 	return &art, nil
 }
 
-// executeShard runs a subset of a registered sweep's grid points through
-// sweep.RunPoints — same config derivation and cache behavior as a full
-// sweep job, but returning per-point results instead of an aggregate
-// summary. With a CacheDir, points the worker already holds are served as
-// cache hits (no kernel call), which is what makes cache federation ship
-// metadata instead of recomputation.
-func (s *Service) executeShard(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	sp, err := experiment.LookupSweep(spec.Sweep)
+// executeGrid runs the requested points of a grid job — a shard of a
+// registered sweep (KindShard) or a batch of synthesis candidates
+// (KindSynth), empty Points meaning the whole grid — and returns them as
+// a ShardArtifact: the worker half of distributed grid work
+// (internal/cluster). With a CacheDir, points the worker already holds
+// are served as cache hits (no kernel call), which is what makes cache
+// federation ship metadata instead of recomputation.
+func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
+	g, point, label, err := spec.ResolveGrid()
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := experiment.Config{
-		Seed:     spec.Seed,
-		Quick:    spec.Quick,
-		Workers:  spec.Workers,
-		CacheDir: s.cfg.CacheDir,
-		Resume:   s.cfg.CacheDir != "",
-	}
-	g := sp.Grid(cfg)
-	rec.setTotal(len(spec.Points))
-	opts := sweep.Options{
-		Seed: spec.Seed,
-		// Mirror the full-sweep execution exactly: point-level sharding is
-		// the parallelism, each point runs its engines single-threaded.
-		Shards:  cfg.Workers,
-		Workers: 1,
-		Progress: func(p sweep.Progress) {
-			s.pointsDone.Add(1)
-			if p.Cached {
-				s.pointsCached.Add(1)
-			}
-			rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
-		},
-	}
-	if cfg.CacheDir != "" {
-		cache, err := sweep.NewCache(cfg.CacheDir)
-		if err != nil {
-			return nil, nil, err
+	idxs := spec.Points
+	if len(idxs) == 0 {
+		idxs = make([]int, g.Size())
+		for i := range idxs {
+			idxs[i] = i
 		}
-		opts.Cache = cache
-		opts.Resume = cfg.Resume
 	}
-	prs, err := sweep.RunPointsContext(ctx, g, spec.Points, sp.Point, opts)
+	rec.setTotal(len(idxs))
+	opts, err := s.gridOptions(rec, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	prs, err := sweep.RunPointsContext(ctx, g, idxs, point, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	art := &ShardArtifact{
 		SchemaVersion: ShardArtifactSchemaVersion,
-		Sweep:         sp.Name,
+		Sweep:         label,
 		Grid:          g.Name,
 		GridVersion:   g.Version,
 		Seed:          spec.Seed,
@@ -134,8 +115,37 @@ func (s *Service) executeShard(ctx context.Context, rec *record, spec JobSpec) (
 		return nil, nil, err
 	}
 	jsonB = append(jsonB, '\n')
-	// The CSV rendering reuses the summary table restricted to the shard's
+	// The CSV rendering reuses the summary table restricted to the job's
 	// rows — handy for eyeballing a shard, not used by the coordinator.
 	rep := &sweep.Report{Grid: g, Seed: spec.Seed, Points: prs}
 	return jsonB, []byte(rep.Summary().CSV()), nil
+}
+
+// gridOptions are the sweep options every grid job runs under, mirroring
+// `antsim -sweep`: the spec's seed, point-level sharding as the
+// parallelism with each point's engines single-threaded, the daemon's
+// cache with resume, and per-point progress into the job record and the
+// daemon's counters.
+func (s *Service) gridOptions(rec *record, spec JobSpec) (sweep.Options, error) {
+	opts := sweep.Options{
+		Seed:    spec.Seed,
+		Shards:  spec.Workers,
+		Workers: 1,
+		Progress: func(p sweep.Progress) {
+			s.pointsDone.Add(1)
+			if p.Cached {
+				s.pointsCached.Add(1)
+			}
+			rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
+		},
+	}
+	if s.cfg.CacheDir != "" {
+		cache, err := sweep.NewCache(s.cfg.CacheDir)
+		if err != nil {
+			return sweep.Options{}, err
+		}
+		opts.Cache = cache
+		opts.Resume = true
+	}
+	return opts, nil
 }

@@ -15,9 +15,11 @@ import (
 	"repro/internal/experiment"
 )
 
-// TestShardSpecValidation pins the shard job's validation rules: a
-// registered sweep id, at least one index, all indexes unique and in range
-// of the (quick-aware) grid, and no field bleed from the other kinds.
+// TestShardSpecValidation pins the grid jobs' validation rules: a
+// registered sweep id (shard) or buildable, distinct candidates and a
+// valid eval config (synth); point indexes unique and in range of the
+// grid, with at least one for a shard; and no field bleed from the other
+// kinds.
 func TestShardSpecValidation(t *testing.T) {
 	size := quickGridSize(t, "s1")
 	cases := []struct {
