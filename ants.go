@@ -40,21 +40,22 @@ type (
 	Point = grid.Point
 	// Direction is one of the four grid moves.
 	Direction = grid.Direction
-	// VisitSet records visited grid cells.
+	// VisitSet records the visited grid cells of a radius-r ball.
 	VisitSet = grid.VisitSet
 	// Rect is an axis-aligned rectangle of lattice points (obstacle worlds
 	// are built from these).
 	Rect = grid.Rect
 )
 
-// NewVisitSet returns a visit set with ball radius r. Small radii get a
-// dense window bitmap; radii beyond the dense threshold automatically
+// NewVisitSet returns a visit set that records the visited cells of the
+// ball of radius r (max-norm) and ignores every cell outside it. Small radii
+// get a dense window bitmap; radii beyond the dense threshold automatically
 // select the sparse tile-index backing, whose memory tracks cells touched
 // instead of arena area.
 func NewVisitSet(r int64) *VisitSet { return grid.NewVisitSet(r) }
 
-// NewSparseVisitSet returns a visit set with ball radius r backed entirely
-// by the sparse hierarchical tile index regardless of radius — the
+// NewSparseVisitSet returns a visit set that records the radius-r ball only,
+// backed by the sparse hierarchical tile index regardless of radius — the
 // unbounded-arena backing (observationally identical to the dense one).
 func NewSparseVisitSet(r int64) *VisitSet { return grid.NewSparseVisitSet(r) }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	antbench [-run E1,E5] [-quick] [-seed 42] [-csv] [-list] [-baseline BENCH_baseline.json]
-//	antbench [-snapshot BENCH_label.json] [-parent BENCH_baseline.json] [-compare BENCH_baseline.json] [-tolerance 0.15]
+//	antbench [-snapshot BENCH_label.json] [-parent BENCH_baseline.json]
 //	antbench [-sentinel DIR] [-k 3] [-warmup 2] [-floor 0.05]
 package main
 
@@ -31,24 +31,22 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("antbench", flag.ContinueOnError)
 	var (
-		runIDs    = fs.String("run", "", "comma-separated experiment ids (default: all)")
-		quick     = fs.Bool("quick", false, "smaller sweeps and trial counts")
-		seed      = fs.Uint64("seed", 42, "root random seed")
-		csv       = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		list      = fs.Bool("list", false, "list experiments and exit")
-		workers   = fs.Int("workers", 0, "simulation worker bound (0 = GOMAXPROCS)")
-		outDir    = fs.String("out", "", "also write one CSV file per table into this directory")
-		baseline  = fs.String("baseline", "", "measure the simulation kernels and write a root JSON perf snapshot (no parent) to this path, then exit")
-		snapshot  = fs.String("snapshot", "", "measure the simulation kernels and write a JSON perf snapshot linked to -parent, then exit")
-		parent    = fs.String("parent", "BENCH_baseline.json", "parent snapshot name recorded in a -snapshot file")
-		compare   = fs.String("compare", "", "measure the simulation kernels and gate against the reference snapshot at this path, then exit")
-		tolerance = fs.Float64("tolerance", 0.15, "allowed fractional regression on the gated kernels for -compare")
-		sentinel  = fs.String("sentinel", "", "walk the parent-linked BENCH_*.json series in this directory through the control-chart detector and fail on the first upper-limit breach, then exit")
-		kSigma    = fs.Float64("k", 3, "control-limit width in sigmas for -sentinel")
-		warmup    = fs.Int("warmup", 2, "snapshots absorbed per kernel before -sentinel starts classifying")
-		floor     = fs.Float64("floor", 0.05, "minimum log-space sigma for -sentinel (0.05 ≈ a ±5% noise floor)")
+		runIDs   = fs.String("run", "", "comma-separated experiment ids (default: all)")
+		quick    = fs.Bool("quick", false, "smaller sweeps and trial counts")
+		seed     = fs.Uint64("seed", 42, "root random seed")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		workers  = fs.Int("workers", 0, "simulation worker bound (0 = GOMAXPROCS)")
+		outDir   = fs.String("out", "", "also write one CSV file per table into this directory")
+		baseline = fs.String("baseline", "", "measure the simulation kernels and write a root JSON perf snapshot (no parent) to this path, then exit")
+		snapshot = fs.String("snapshot", "", "measure the simulation kernels and write a JSON perf snapshot linked to -parent, then exit")
+		parent   = fs.String("parent", "BENCH_baseline.json", "parent snapshot name recorded in a -snapshot file")
+		sentinel = fs.String("sentinel", "", "walk the parent-linked BENCH_*.json series in this directory through the control-chart detector and fail on the first upper-limit breach, then exit")
+		kSigma   = fs.Float64("k", 3, "control-limit width in sigmas for -sentinel")
+		warmup   = fs.Int("warmup", 2, "snapshots absorbed per kernel before -sentinel starts classifying")
+		floor    = fs.Float64("floor", 0.05, "minimum log-space sigma for -sentinel (0.05 ≈ a ±5% noise floor)")
 	)
-	cliutil.SetUsage(fs, "Regenerates the reproduction tables E1–E8, AB1–AB4 and S1–S3 (-quick, -csv, -out DIR); -baseline/-snapshot write kernel perf snapshots (the BENCH_*.json series), -compare gates against one, -sentinel control-charts the whole series",
+	cliutil.SetUsage(fs, "Regenerates the reproduction tables E1–E8, AB1–AB4 and S1–S3 (-quick, -csv, -out DIR); -baseline/-snapshot write kernel perf snapshots (the BENCH_*.json series), -sentinel control-charts the whole series",
 		"antbench -quick",
 		"antbench -run E1,E5 -csv",
 		"antbench -snapshot BENCH_candidate.json -parent BENCH_sparse_soa.json",
@@ -61,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		return runSentinel(*sentinel, *kSigma, *warmup, *floor, out)
 	}
 
-	if *baseline != "" || *snapshot != "" || *compare != "" {
+	if *baseline != "" || *snapshot != "" {
 		lineage := ""
 		path := *baseline
 		if *snapshot != "" {
@@ -71,15 +69,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if path != "" {
-			if err := writeBaseline(b, path, out); err != nil {
-				return err
-			}
-		}
-		if *compare != "" {
-			return compareBaseline(b, *compare, *tolerance, out)
-		}
-		return nil
+		return writeBaseline(b, path, out)
 	}
 
 	if *list {

@@ -24,11 +24,31 @@ func e2() Experiment {
 	}
 }
 
+// e2Ds returns the ball radii D that E2 sweeps.
+func e2Ds(quick bool) []int64 {
+	if quick {
+		return []int64{16, 32}
+	}
+	return []int64{16, 32, 64}
+}
+
+// e2Targets returns E2b's probe points for radius d, with the far corner
+// (d, d) that E2a conditions on. Each iteration records its visits in a
+// VisitSet of radius d, which holds the d-ball only, so every probe must lie
+// inside it.
+func e2Targets(d int64) (targets []grid.Point, corner grid.Point) {
+	corner = grid.Point{X: d, Y: d}
+	return []grid.Point{
+		{X: d, Y: 0},
+		{X: d / 2, Y: d / 2},
+		corner,
+		{X: 1, Y: 0},
+	}, corner
+}
+
 func runE2(cfg Config) ([]*Table, error) {
-	ds := []int64{16, 32, 64}
 	iters := 200000
 	if cfg.Quick {
-		ds = []int64{16, 32}
 		iters = 40000
 	}
 
@@ -40,23 +60,17 @@ func runE2(cfg Config) ([]*Table, error) {
 		Title:   "E2b: per-iteration hit probability vs the 1/(64D) bound",
 		Columns: []string{"D", "target", "hit_rate", "bound_1/(64D)", "margin"},
 	}
-	for _, d := range ds {
+	for _, d := range e2Ds(cfg.Quick) {
 		prog, err := search.NewNonUniform(d, 1)
 		if err != nil {
 			return nil, err
 		}
-		targets := []grid.Point{
-			{X: d, Y: 0},
-			{X: d / 2, Y: d / 2},
-			{X: d, Y: d},
-			{X: 1, Y: 0},
-		}
+		targets, corner := e2Targets(d)
 		root := rng.New(cfg.Seed + uint64(d))
 		// Move statistics, unconditioned and conditioned on missing the
 		// far corner target.
 		var total, totalMissing float64
 		missing := 0
-		corner := grid.Point{X: d, Y: d}
 		hitCounts := make([]int, len(targets))
 		for i := 0; i < iters; i++ {
 			src := root.Derive(uint64(i))

@@ -28,16 +28,34 @@ func e4() Experiment {
 	}
 }
 
+// The walk/search parameters E4 exercises, the same in the quick and the
+// full configuration: k = 2, ℓ = 1, so the span 2^{kℓ} is 4.
+const (
+	e4K    = 2
+	e4Ell  = 1
+	e4Span = 1 << (e4K * e4Ell)
+)
+
+// e4SearchProbes returns the points E4b probes after search(k, ℓ) with the
+// given span, and the radius of the VisitSet that records each trial. The
+// set holds its ball only, so every probe must lie inside it.
+func e4SearchProbes(span int64) (radius int64, points []grid.Point) {
+	return span + 2, []grid.Point{
+		{X: 0, Y: 1}, {X: 1, Y: 1}, {X: 2, Y: 2},
+		{X: span, Y: span}, {X: -span, Y: span}, {X: span, Y: -1},
+	}
+}
+
 func runE4(cfg Config) ([]*Table, error) {
 	trials := 400000
 	if cfg.Quick {
 		trials = 60000
 	}
 	const (
-		k   = 2
-		ell = 1
+		k    = e4K
+		ell  = e4Ell
+		span = e4Span
 	)
-	span := int64(1) << (k * ell) // 2^{kℓ} = 4
 
 	walkTable := &Table{
 		Title:   "E4a: walk(2, 1) length distribution (span 2^{kℓ} = 4)",
@@ -77,15 +95,12 @@ func runE4(cfg Config) ([]*Table, error) {
 		Title:   "E4b: search(2, 1) per-point visit probability",
 		Columns: []string{"point", "empirical_P", "bound_1/2^{kℓ+6}", "margin"},
 	}
-	points := []grid.Point{
-		{X: 0, Y: 1}, {X: 1, Y: 1}, {X: 2, Y: 2},
-		{X: span, Y: span}, {X: -span, Y: span}, {X: span, Y: -1},
-	}
+	radius, points := e4SearchProbes(span)
 	counts := make([]int, len(points))
 	root2 := rng.New(cfg.Seed + 18)
 	for i := 0; i < trials; i++ {
 		src := root2.Derive(uint64(i))
-		v := grid.NewVisitSet(span + 2)
+		v := grid.NewVisitSet(radius)
 		env := sim.NewEnv(sim.EnvConfig{Src: src, TrackVisits: v})
 		coin := rng.MustCoin(ell, src)
 		if err := search.BoxSearch(env, coin, k); err != nil {

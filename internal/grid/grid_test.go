@@ -231,28 +231,30 @@ func TestVisitSetBasic(t *testing.T) {
 	if !v.Contains(p) {
 		t.Error("set should contain visited point")
 	}
-	if v.Count() != 1 || v.CountInBall() != 1 {
-		t.Errorf("counts = %d/%d, want 1/1", v.Count(), v.CountInBall())
+	if v.CountInBall() != 1 {
+		t.Errorf("CountInBall = %d, want 1", v.CountInBall())
 	}
 }
 
+// TestVisitSetSparseOverflow pins the ball-only contract in both backings:
+// a point outside the radius-r ball is ignored — Visit reports false, it is
+// never contained, and it is not counted.
 func TestVisitSetSparseOverflow(t *testing.T) {
-	v := NewVisitSet(2)
-	far := Point{X: 100, Y: -50}
-	if !v.Visit(far) {
-		t.Error("first far visit should be new")
-	}
-	if v.Visit(far) {
-		t.Error("second far visit should not be new")
-	}
-	if !v.Contains(far) {
-		t.Error("far point should be contained")
-	}
-	if v.Count() != 1 {
-		t.Errorf("Count = %d, want 1", v.Count())
-	}
-	if v.CountInBall() != 0 {
-		t.Errorf("CountInBall = %d, want 0 for far point", v.CountInBall())
+	for _, v := range []*VisitSet{NewVisitSet(2), NewSparseVisitSet(2)} {
+		far := Point{X: 100, Y: -50}
+		if v.Visit(far) {
+			t.Errorf("sparse=%v: far visit should be ignored", v.Sparse())
+		}
+		if v.Contains(far) {
+			t.Errorf("sparse=%v: far point should not be contained", v.Sparse())
+		}
+		edge := Point{X: 2, Y: -2}
+		if !v.Visit(edge) || !v.Contains(edge) {
+			t.Errorf("sparse=%v: ball-boundary point %v not recorded", v.Sparse(), edge)
+		}
+		if v.CountInBall() != 1 {
+			t.Errorf("sparse=%v: CountInBall = %d, want 1", v.Sparse(), v.CountInBall())
+		}
 	}
 }
 
@@ -276,18 +278,18 @@ func TestVisitSetMergeSameRadius(t *testing.T) {
 	a.Visit(Point{X: 1, Y: 1})
 	b.Visit(Point{X: 1, Y: 1})
 	b.Visit(Point{X: -2, Y: 3})
-	b.Visit(Point{X: 40, Y: 0}) // sparse in b
+	b.Visit(Point{X: 40, Y: 0}) // outside the ball: ignored by b
 	a.Merge(b)
-	if a.Count() != 3 {
-		t.Errorf("merged Count = %d, want 3", a.Count())
-	}
 	if a.CountInBall() != 2 {
 		t.Errorf("merged CountInBall = %d, want 2", a.CountInBall())
 	}
-	for _, p := range []Point{{1, 1}, {-2, 3}, {40, 0}} {
+	for _, p := range []Point{{1, 1}, {-2, 3}} {
 		if !a.Contains(p) {
 			t.Errorf("merged set missing %v", p)
 		}
+	}
+	if a.Contains(Point{X: 40, Y: 0}) {
+		t.Error("merged set holds a point outside the ball")
 	}
 }
 
@@ -295,27 +297,32 @@ func TestVisitSetMergeDifferentRadius(t *testing.T) {
 	a := NewVisitSet(10)
 	b := NewVisitSet(2)
 	b.Visit(Point{X: 1, Y: 0})
-	b.Visit(Point{X: 5, Y: 5}) // sparse in b, dense in a
+	b.Visit(Point{X: 5, Y: 5}) // outside b's ball: never recorded
 	a.Merge(b)
-	if a.Count() != 2 || a.CountInBall() != 2 {
-		t.Errorf("merged counts = %d/%d, want 2/2", a.Count(), a.CountInBall())
+	if a.CountInBall() != 1 || !a.Contains(Point{X: 1, Y: 0}) {
+		t.Errorf("merged CountInBall = %d, want 1 holding (1,0)", a.CountInBall())
+	}
+	if a.Contains(Point{X: 5, Y: 5}) {
+		t.Error("merge recovered a point its source never recorded")
 	}
 }
 
 func TestVisitSetMergeNil(t *testing.T) {
 	a := NewVisitSet(1)
 	a.Merge(nil) // must not panic
-	if a.Count() != 0 {
-		t.Errorf("Count after nil merge = %d", a.Count())
+	if a.CountInBall() != 0 {
+		t.Errorf("CountInBall after nil merge = %d", a.CountInBall())
 	}
 }
 
 func TestVisitSetMergeMatchesUnion(t *testing.T) {
-	// Property: merging random sets equals the set union, including counts.
+	// Property: merging random sets equals the set union restricted to the
+	// ball, including counts.
+	const r = 8
 	rnd := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		a := NewVisitSet(8)
-		b := NewVisitSet(8)
+		a := NewVisitSet(r)
+		b := NewVisitSet(r)
 		union := make(map[Point]bool)
 		for i := 0; i < 200; i++ {
 			p := Point{X: int64(rnd.Intn(31) - 15), Y: int64(rnd.Intn(31) - 15)}
@@ -324,20 +331,24 @@ func TestVisitSetMergeMatchesUnion(t *testing.T) {
 			} else {
 				b.Visit(p)
 			}
-			union[p] = true
+			if p.Norm() <= r {
+				union[p] = true
+			}
 		}
 		a.Merge(b)
-		if a.Count() != int64(len(union)) {
-			t.Fatalf("trial %d: merged count %d, want %d", trial, a.Count(), len(union))
+		if a.CountInBall() != int64(len(union)) {
+			t.Fatalf("trial %d: merged count %d, want %d", trial, a.CountInBall(), len(union))
 		}
-		for p := range union {
-			if !a.Contains(p) {
-				t.Fatalf("trial %d: merged set missing %v", trial, p)
+		for y := int64(-15); y <= 15; y++ {
+			for x := int64(-15); x <= 15; x++ {
+				p := Point{X: x, Y: y}
+				if a.Contains(p) != union[p] {
+					t.Fatalf("trial %d: Contains(%v) = %v, want %v", trial, p, a.Contains(p), union[p])
+				}
 			}
 		}
 	}
 }
-
 func TestVisitSetNegativeRadius(t *testing.T) {
 	v := NewVisitSet(-5)
 	if v.Radius() != 0 {

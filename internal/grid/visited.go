@@ -14,34 +14,28 @@ import (
 // arena area.
 const maxDenseRadius = 1024
 
-// VisitSet records which grid points have been visited. For radii up to
-// maxDenseRadius it combines a dense bitmap for the window [-r, r]² around
-// the origin (the region the experiments care about) with a sparse
-// hierarchical tile index for the rare excursions beyond it, so coverage
-// statistics over the D-ball are cheap while remaining exact for arbitrary
-// walks. For larger radii — unbounded-arena runs — the whole set lives in
-// the tile index and memory scales with cells touched, not with (2r+1)².
-// Both modes are observationally identical; the engines pick purely by
-// radius.
+// VisitSet records which grid points of the radius-r ball {p : |p|∞ ≤ r}
+// have been visited; points outside the ball are ignored. This is the
+// region every coverage statistic counts (the D-ball of Theorem 4.1). For
+// radii up to maxDenseRadius the ball is a dense bitmap over the window
+// [-r, r]²; for larger radii — unbounded-arena runs — it lives in the sparse
+// hierarchical tile index, and memory scales with cells touched, not with
+// (2r+1)². Both backings are observationally identical; the engines pick
+// purely by radius.
 //
 // VisitSet is not safe for concurrent use; the simulation engine gives each
 // worker its own set and merges afterwards.
 type VisitSet struct {
 	r     int64
-	side  int64
-	dense []uint64 // nil in sparse mode
-
-	// ext holds the points outside the dense window (hybrid mode, lazily
-	// allocated) or every point (sparse mode).
-	ext *spatial.Index
-
-	count  int64 // total distinct points visited
-	inBall int64 // distinct points visited with norm <= r
+	side  int64          // window side 2r+1; dense only
+	dense []uint64       // the window bitmap; nil when sparse
+	ix    *spatial.Index // the tile index; nil when dense
+	count int64          // distinct points visited, all with norm <= r
 }
 
 // NewVisitSet returns a visit set with a ball radius of r. Radii up to
 // maxDenseRadius get a dense window bitmap (a radius of 0 still tracks the
-// origin densely); larger radii select the sparse backing automatically.
+// origin); larger radii select the sparse backing automatically.
 func NewVisitSet(r int64) *VisitSet {
 	if r < 0 {
 		r = 0
@@ -58,27 +52,23 @@ func NewVisitSet(r int64) *VisitSet {
 	}
 }
 
-// NewSparseVisitSet returns a visit set with ball radius r backed entirely
-// by the sparse tile index, regardless of radius. NewVisitSet selects this
-// mode automatically for large radii; the explicit constructor exists for
-// the oracle-equality tests and for benchmarks that want the sparse path at
+// NewSparseVisitSet returns a visit set with ball radius r backed by the
+// sparse tile index, regardless of radius. NewVisitSet selects this backing
+// automatically for large radii; the explicit constructor exists for the
+// oracle-equality tests and for benchmarks that want the sparse path at
 // small radii.
 func NewSparseVisitSet(r int64) *VisitSet {
 	if r < 0 {
 		r = 0
 	}
-	return &VisitSet{
-		r:    r,
-		side: 2*r + 1,
-		ext:  spatial.NewIndex(),
-	}
+	return &VisitSet{r: r, ix: spatial.NewIndex()}
 }
 
 // Radius returns the ball radius the set was created with.
 func (v *VisitSet) Radius() int64 { return v.r }
 
-// Sparse reports whether the set is in fully-sparse mode (no dense window
-// bitmap).
+// Sparse reports whether the set is backed by the tile index rather than a
+// dense window bitmap.
 func (v *VisitSet) Sparse() bool { return v.dense == nil }
 
 // denseIndex locates p's bit in the dense window. The unsigned compares
@@ -95,56 +85,39 @@ func (v *VisitSet) denseIndex(p Point) (word int64, mask uint64, ok bool) {
 	return int64(idx >> 6), uint64(1) << (idx & 63), true
 }
 
-// Visit marks p as visited and reports whether it was newly visited. The
-// dense-window fast path is small enough to inline into the engines' step
-// loops; everything else lives in visitSlow.
+// Visit marks p as visited and reports whether it was newly visited. A
+// point outside the ball is ignored and reports false.
 func (v *VisitSet) Visit(p Point) bool {
-	if v.dense != nil {
-		if word, mask, ok := v.denseIndex(p); ok {
-			if v.dense[word]&mask != 0 {
-				return false
-			}
-			v.dense[word] |= mask
-			v.count++
-			v.inBall++
-			return true
-		}
+	if v.dense == nil {
+		return v.visitSparse(p)
 	}
-	return v.visitSlow(p)
+	word, mask, ok := v.denseIndex(p)
+	if !ok || v.dense[word]&mask != 0 {
+		return false
+	}
+	v.dense[word] |= mask
+	v.count++
+	return true
 }
 
-// visitSlow handles the index-backed cases of Visit: excursions beyond the
-// dense window (hybrid mode) and every visit in sparse mode.
-func (v *VisitSet) visitSlow(p Point) bool {
-	if v.dense != nil {
-		if v.ext == nil {
-			v.ext = spatial.NewIndex()
-		}
-		if !v.ext.Visit(p.X, p.Y) {
-			return false
-		}
-		v.count++
-		return true
-	}
-	if !v.ext.Visit(p.X, p.Y) {
+// visitSparse is Visit for the index backing.
+func (v *VisitSet) visitSparse(p Point) bool {
+	if p.Norm() > v.r || !v.ix.Visit(p.X, p.Y) {
 		return false
 	}
 	v.count++
-	if p.Norm() <= v.r {
-		v.inBall++
-	}
 	return true
 }
 
 // VisitBatch marks every point in ps as visited, equivalent to calling
 // Visit on each point in order (minus the per-point return values). The
 // engines buffer a stripe's positions and flush them through this entry
-// point so the dense fast path runs with its window in registers and one
-// call per buffer instead of one per step.
+// point so the dense path runs with its window in registers and one call
+// per buffer instead of one per step.
 func (v *VisitSet) VisitBatch(ps []Point) {
 	if v.dense == nil {
 		for _, p := range ps {
-			v.visitSlow(p)
+			v.visitSparse(p)
 		}
 		return
 	}
@@ -156,7 +129,6 @@ func (v *VisitSet) VisitBatch(ps []Point) {
 		ux := uint64(p.X + r)
 		uy := uint64(p.Y + r)
 		if ux >= side || uy >= side {
-			v.visitSlow(p)
 			continue
 		}
 		idx := uy*side + ux
@@ -167,93 +139,61 @@ func (v *VisitSet) VisitBatch(ps []Point) {
 		}
 	}
 	v.count += added
-	v.inBall += added
 }
 
-// Contains reports whether p has been visited.
+// Contains reports whether p has been visited; it is false for every point
+// outside the ball.
 func (v *VisitSet) Contains(p Point) bool {
-	if v.dense != nil {
-		if word, mask, ok := v.denseIndex(p); ok {
-			return v.dense[word]&mask != 0
-		}
+	if v.dense == nil {
+		return v.ix.Contains(p.X, p.Y)
 	}
-	return v.ext != nil && v.ext.Contains(p.X, p.Y)
+	word, mask, ok := v.denseIndex(p)
+	return ok && v.dense[word]&mask != 0
 }
 
-// Count returns the number of distinct visited points.
-func (v *VisitSet) Count() int64 { return v.count }
-
-// CountInBall returns the number of distinct visited points with max-norm at
-// most the ball radius. It is the numerator of the coverage fraction used
-// by the lower-bound experiments.
-func (v *VisitSet) CountInBall() int64 { return v.inBall }
+// CountInBall returns the number of distinct visited points, all of which
+// lie in the ball. It is the numerator of the coverage fraction used by the
+// lower-bound experiments.
+func (v *VisitSet) CountInBall() int64 { return v.count }
 
 // CoverageFraction returns the fraction of the radius-r ball's points that
 // have been visited.
 func (v *VisitSet) CoverageFraction() float64 {
-	total := BallSize(v.r)
-	return float64(v.inBall) / float64(total)
+	return float64(v.count) / float64(BallSize(v.r))
 }
 
-// Merge adds every point visited in other into v. Same-radius, same-mode
-// sets merge structurally — word-OR over the dense window and over aligned
-// index tiles, no per-point hashing; otherwise points are re-classified
-// against v's window one by one. Merging does not modify other.
+// Merge adds every point visited in other that lies in v's ball. Same-radius,
+// same-backing sets merge structurally — word-OR over the dense window or
+// over aligned index tiles, no per-point hashing; otherwise other's points
+// are re-visited into v one by one, which drops those outside v's ball.
+// Merging does not modify other.
 func (v *VisitSet) Merge(other *VisitSet) {
 	if other == nil {
 		return
 	}
-	if other.r == v.r && other.Sparse() == v.Sparse() {
-		if v.dense != nil {
-			for i, w := range other.dense {
-				nw := w &^ v.dense[i]
-				if nw != 0 {
-					added := int64(bits.OnesCount64(nw))
-					v.dense[i] |= w
-					v.count += added
-					v.inBall += added
-				}
-			}
-			if other.ext != nil {
-				if v.ext == nil {
-					v.ext = spatial.NewIndex()
-				}
-				// Hybrid invariant: every ext point has norm > r, so the
-				// merge cannot change inBall.
-				added, _ := v.ext.Merge(other.ext, -1)
-				v.count += added
-			}
-			return
-		}
-		added, addedInBall := v.ext.Merge(other.ext, v.r)
-		v.count += added
-		v.inBall += addedInBall
+	if other.r != v.r || other.Sparse() != v.Sparse() {
+		other.Each(func(p Point) { v.Visit(p) })
 		return
 	}
-	other.Each(func(p Point) { v.Visit(p) })
+	if v.dense == nil {
+		v.count += v.ix.Merge(other.ix)
+		return
+	}
+	for i, w := range other.dense {
+		if nw := w &^ v.dense[i]; nw != 0 {
+			v.dense[i] |= w
+			v.count += int64(bits.OnesCount64(nw))
+		}
+	}
 }
 
-// Each calls fn for every visited point, inside or outside the ball.
-// Iteration order is unspecified.
+// Each calls fn for every visited point. Iteration order is unspecified. A
+// dense set iterates set bits word-by-word (bits.TrailingZeros64), so the
+// cost is O(words + visited); a sparse set walks the tile index, so the cost
+// tracks the tiles touched.
 func (v *VisitSet) Each(fn func(Point)) {
 	if v.dense == nil {
-		v.ext.Each(func(x, y int64) { fn(Point{X: x, Y: y}) })
-		return
-	}
-	v.EachDense(fn)
-	if v.ext != nil {
-		v.ext.Each(func(x, y int64) { fn(Point{X: x, Y: y}) })
-	}
-}
-
-// EachDense calls fn for every visited point with max-norm at most the ball
-// radius. In dense mode it iterates set bits word-by-word
-// (bits.TrailingZeros64), so the cost is O(words + visited); in sparse mode
-// it walks the index with ball pruning, so the cost is proportional to the
-// tiles intersecting the ball.
-func (v *VisitSet) EachDense(fn func(Point)) {
-	if v.dense == nil {
-		v.ext.EachInBall(v.r, func(x, y int64) { fn(Point{X: x, Y: y}) })
+		v.ix.Each(func(x, y int64) { fn(Point{X: x, Y: y}) })
 		return
 	}
 	for wi, w := range v.dense {

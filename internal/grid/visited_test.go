@@ -6,9 +6,9 @@ import (
 	"repro/internal/rng"
 )
 
-// TestEachDenseEnumeratesExactly: the word-level iteration must report each
-// visited in-window point exactly once and nothing else, including points on
-// word boundaries and window corners.
+// TestEachDenseEnumeratesExactly: Each's word-level iteration over a dense
+// set must report each visited point exactly once and nothing else,
+// including points on word boundaries and window corners.
 func TestEachDenseEnumeratesExactly(t *testing.T) {
 	v := NewVisitSet(9) // side 19: rows straddle 64-bit word boundaries
 	want := map[Point]bool{
@@ -22,24 +22,24 @@ func TestEachDenseEnumeratesExactly(t *testing.T) {
 	for p := range want {
 		v.Visit(p)
 	}
-	v.Visit(Point{X: 50, Y: 50}) // sparse: must not appear
+	v.Visit(Point{X: 50, Y: 50}) // outside the ball: must not appear
 	got := map[Point]int{}
-	v.EachDense(func(p Point) { got[p]++ })
+	v.Each(func(p Point) { got[p]++ })
 	if len(got) != len(want) {
-		t.Errorf("EachDense visited %d points, want %d: %v", len(got), len(want), got)
+		t.Errorf("Each visited %d points, want %d: %v", len(got), len(want), got)
 	}
 	for p, n := range got {
 		if !want[p] {
-			t.Errorf("EachDense reported unvisited point %v", p)
+			t.Errorf("Each reported unvisited point %v", p)
 		}
 		if n != 1 {
-			t.Errorf("EachDense reported %v %d times", p, n)
+			t.Errorf("Each reported %v %d times", p, n)
 		}
 	}
 }
 
-// TestEachDenseMatchesContains cross-checks the bit iteration against the
-// Contains probe over a random fill.
+// TestEachDenseMatchesContains cross-checks Each's bit iteration over a
+// dense set against the Contains probe over a random fill.
 func TestEachDenseMatchesContains(t *testing.T) {
 	v := NewVisitSet(13)
 	src := rng.New(7)
@@ -47,20 +47,20 @@ func TestEachDenseMatchesContains(t *testing.T) {
 		v.Visit(Point{X: src.Intn(27) - 13, Y: src.Intn(27) - 13})
 	}
 	var n int64
-	v.EachDense(func(p Point) {
+	v.Each(func(p Point) {
 		n++
 		if !v.Contains(p) {
-			t.Errorf("EachDense reported %v but Contains disagrees", p)
+			t.Errorf("Each reported %v but Contains disagrees", p)
 		}
 	})
 	if n != v.CountInBall() {
-		t.Errorf("EachDense enumerated %d points, CountInBall = %d", n, v.CountInBall())
+		t.Errorf("Each enumerated %d points, CountInBall = %d", n, v.CountInBall())
 	}
 }
 
 // TestMergeSmallerIntoLarger: merging a small-radius set into a larger one
-// must re-classify every dense point into the target window and keep the
-// counters exact.
+// carries over exactly the points the source recorded — its own ball — with
+// the counter exact across the overlap.
 func TestMergeSmallerIntoLarger(t *testing.T) {
 	a := NewVisitSet(8)
 	b := NewVisitSet(2)
@@ -68,45 +68,50 @@ func TestMergeSmallerIntoLarger(t *testing.T) {
 	for _, p := range pts {
 		b.Visit(p)
 	}
-	b.Visit(Point{X: 5, Y: 5})  // sparse in b, dense in a
-	b.Visit(Point{X: 20, Y: 0}) // sparse in both
+	if b.Visit(Point{X: 5, Y: 5}) { // outside b's ball, inside a's
+		t.Error("b recorded a point outside its ball")
+	}
+	b.Visit(Point{X: 20, Y: 0}) // outside both balls
 	a.Visit(Point{X: 2, Y: -2}) // overlap: must not double count
 	a.Merge(b)
-	if got, want := a.CountInBall(), int64(4); got != want { // 3 pts + (5,5)
+	if got, want := a.CountInBall(), int64(3); got != want {
 		t.Errorf("CountInBall = %d, want %d", got, want)
 	}
-	if got, want := a.Count(), int64(5); got != want {
-		t.Errorf("Count = %d, want %d", got, want)
-	}
-	for _, p := range append(pts, Point{X: 5, Y: 5}, Point{X: 20, Y: 0}) {
+	for _, p := range pts {
 		if !a.Contains(p) {
 			t.Errorf("merged set missing %v", p)
 		}
 	}
+	for _, p := range []Point{{X: 5, Y: 5}, {X: 20, Y: 0}} {
+		if a.Contains(p) {
+			t.Errorf("merged set holds %v, which b never recorded", p)
+		}
+	}
 }
 
-// TestMergeLargerIntoSmaller: dense points of the source that fall outside
-// the target's window must land in the sparse overflow, still counted once.
+// TestMergeLargerIntoSmaller: points of the source that fall outside the
+// receiver's ball are dropped by the merge.
 func TestMergeLargerIntoSmaller(t *testing.T) {
 	a := NewVisitSet(2)
 	b := NewVisitSet(8)
-	b.Visit(Point{X: 1, Y: 1})  // dense in both
-	b.Visit(Point{X: 6, Y: -6}) // dense in b, sparse in a
+	b.Visit(Point{X: 1, Y: 1})  // in both balls
+	b.Visit(Point{X: 6, Y: -6}) // in b's ball only
 	b.Visit(Point{X: 6, Y: -6}) // revisit: no double count at the source
 	a.Merge(b)
-	if got, want := a.Count(), int64(2); got != want {
-		t.Errorf("Count = %d, want %d", got, want)
-	}
 	if got, want := a.CountInBall(), int64(1); got != want {
 		t.Errorf("CountInBall = %d, want %d", got, want)
 	}
-	if !a.Contains(Point{X: 6, Y: -6}) {
-		t.Error("merged set missing re-classified point")
+	if !a.Contains(Point{X: 1, Y: 1}) {
+		t.Error("merged set missing (1,1)")
+	}
+	if a.Contains(Point{X: 6, Y: -6}) {
+		t.Error("merge kept a point outside the receiver's ball")
 	}
 }
 
 // TestMergeCrossRadiusMatchesUnion is a randomized union check across
-// differing dense radii in both directions.
+// differing radii in both directions: the merged set is the union of what
+// each side recorded (its own ball), restricted to the receiver's ball.
 func TestMergeCrossRadiusMatchesUnion(t *testing.T) {
 	src := rng.New(42)
 	for trial := 0; trial < 20; trial++ {
@@ -114,34 +119,31 @@ func TestMergeCrossRadiusMatchesUnion(t *testing.T) {
 		rb := src.Intn(12) + 1
 		a := NewVisitSet(ra)
 		b := NewVisitSet(rb)
-		union := map[Point]bool{}
+		want := map[Point]bool{}
 		fill := func(v *VisitSet, n int64) {
 			for i := int64(0); i < n; i++ {
 				p := Point{X: src.Intn(31) - 15, Y: src.Intn(31) - 15}
 				v.Visit(p)
-				union[p] = true
+				if p.Norm() <= v.Radius() && p.Norm() <= ra {
+					want[p] = true
+				}
 			}
 		}
-		fillA := src.Intn(60)
-		fillB := src.Intn(60)
-		fill(a, fillA)
-		fill(b, fillB)
+		fill(a, src.Intn(60))
+		fill(b, src.Intn(60))
 		a.Merge(b)
-		if a.Count() != int64(len(union)) {
-			t.Fatalf("trial %d (ra=%d rb=%d): Count = %d, want %d",
-				trial, ra, rb, a.Count(), len(union))
+		if a.CountInBall() != int64(len(want)) {
+			t.Fatalf("trial %d (ra=%d rb=%d): CountInBall = %d, want %d",
+				trial, ra, rb, a.CountInBall(), len(want))
 		}
-		var inBall int64
-		for p := range union {
-			if !a.Contains(p) {
-				t.Fatalf("trial %d: merged set missing %v", trial, p)
+		for y := int64(-15); y <= 15; y++ {
+			for x := int64(-15); x <= 15; x++ {
+				p := Point{X: x, Y: y}
+				if a.Contains(p) != want[p] {
+					t.Fatalf("trial %d (ra=%d rb=%d): Contains(%v) = %v, want %v",
+						trial, ra, rb, p, a.Contains(p), want[p])
+				}
 			}
-			if p.Norm() <= ra {
-				inBall++
-			}
-		}
-		if a.CountInBall() != inBall {
-			t.Fatalf("trial %d: CountInBall = %d, want %d", trial, a.CountInBall(), inBall)
 		}
 	}
 }
@@ -171,7 +173,7 @@ func TestSparseDenseOracleEquality(t *testing.T) {
 			case 3:
 				p.Y--
 			case 4:
-				// Long jump: exercise the excursion store.
+				// Long jump: exercise points outside the ball.
 				p = Point{X: src.Intn(4*r+4001) - 2*r - 2000, Y: src.Intn(4*r+4001) - 2*r - 2000}
 			}
 			dv := dense.Visit(p)
@@ -179,10 +181,9 @@ func TestSparseDenseOracleEquality(t *testing.T) {
 			if dv != sv {
 				t.Fatalf("r=%d step %d: Visit(%v) dense=%v sparse=%v", r, step, p, dv, sv)
 			}
-			if dense.Count() != sparse.Count() || dense.CountInBall() != sparse.CountInBall() {
-				t.Fatalf("r=%d step %d: counts diverge: dense (%d,%d) sparse (%d,%d)",
-					r, step, dense.Count(), dense.CountInBall(),
-					sparse.Count(), sparse.CountInBall())
+			if dense.CountInBall() != sparse.CountInBall() {
+				t.Fatalf("r=%d step %d: counts diverge: dense %d sparse %d",
+					r, step, dense.CountInBall(), sparse.CountInBall())
 			}
 		}
 		if dense.CoverageFraction() != sparse.CoverageFraction() {
@@ -201,21 +202,8 @@ func TestSparseDenseOracleEquality(t *testing.T) {
 				t.Fatalf("r=%d: sparse has extra %v", r, q)
 			}
 		})
-		if int64(n) != dense.Count() {
-			t.Fatalf("r=%d: sparse Each yielded %d points, want %d", r, n, dense.Count())
-		}
-		// EachDense (ball-restricted iteration) must agree as sets.
-		db := map[Point]bool{}
-		dense.EachDense(func(q Point) { db[q] = true })
-		sn := 0
-		sparse.EachDense(func(q Point) {
-			sn++
-			if !db[q] {
-				t.Fatalf("r=%d: sparse EachDense yielded %v outside dense oracle", r, q)
-			}
-		})
-		if sn != len(db) {
-			t.Fatalf("r=%d: EachDense sizes diverge: sparse %d dense %d", r, sn, len(db))
+		if int64(n) != dense.CountInBall() {
+			t.Fatalf("r=%d: sparse Each yielded %d points, want %d", r, n, dense.CountInBall())
 		}
 	}
 }
@@ -248,9 +236,8 @@ func TestSparseMergeMatchesDenseMerge(t *testing.T) {
 
 	da.Merge(db)
 	sa.Merge(sb)
-	if da.Count() != sa.Count() || da.CountInBall() != sa.CountInBall() {
-		t.Fatalf("merge diverges: dense (%d,%d) sparse (%d,%d)",
-			da.Count(), da.CountInBall(), sa.Count(), sa.CountInBall())
+	if da.CountInBall() != sa.CountInBall() {
+		t.Fatalf("merge diverges: dense %d sparse %d", da.CountInBall(), sa.CountInBall())
 	}
 	da.Each(func(q Point) {
 		if !sa.Contains(q) {
@@ -262,9 +249,8 @@ func TestSparseMergeMatchesDenseMerge(t *testing.T) {
 	cross.Merge(sb)
 	db2 := NewVisitSet(r)
 	db2.Merge(db)
-	if cross.Count() != db.Count() || cross.CountInBall() != db.CountInBall() {
-		t.Fatalf("cross-mode merge diverges: got (%d,%d), want (%d,%d)",
-			cross.Count(), cross.CountInBall(), db.Count(), db.CountInBall())
+	if cross.CountInBall() != db.CountInBall() {
+		t.Fatalf("cross-mode merge diverges: got %d, want %d", cross.CountInBall(), db.CountInBall())
 	}
 }
 
@@ -313,10 +299,9 @@ func TestVisitBatchMatchesVisit(t *testing.T) {
 					batch = batch[:0]
 				}
 			}
-			if batched.Count() != oracle.Count() || batched.CountInBall() != oracle.CountInBall() {
-				t.Fatalf("r=%d sparse=%v: batch (%d,%d) vs oracle (%d,%d)",
-					r, sparse, batched.Count(), batched.CountInBall(),
-					oracle.Count(), oracle.CountInBall())
+			if batched.CountInBall() != oracle.CountInBall() {
+				t.Fatalf("r=%d sparse=%v: batch %d vs oracle %d",
+					r, sparse, batched.CountInBall(), oracle.CountInBall())
 			}
 			oracle.Each(func(q Point) {
 				if !batched.Contains(q) {

@@ -63,8 +63,16 @@ func ComputeParams(m *automata.Machine, d int64) (*TheoremParams, error) {
 	params.R0 = math.Pow(p0, -math.Pow(2, float64(b))) * math.Pow(2, float64(b)) * logD
 	params.Beta = s * math.Log(float64(d)) / math.Pow(p0, s)
 	params.Delta = float64(d) * float64(d) / (params.Beta * s * s * logD)
-	params.Applicable = params.Chi <= math.Log2(logD)+1e-9
+	params.Applicable = InRegime(params.Chi, d)
 	return params, nil
+}
+
+// InRegime reports whether selection complexity chi is in Theorem 4.1's
+// regime at distance d: χ ≤ log log D (logarithms base 2). It is the test
+// behind TheoremParams.Applicable, exposed for algorithms audited by χ
+// alone rather than by a machine.
+func InRegime(chi float64, d int64) bool {
+	return chi <= math.Log2(math.Log2(float64(d)))+1e-9
 }
 
 // String formats the parameters compactly.

@@ -108,7 +108,8 @@ type EnvConfig struct {
 	// idle before acting). Engines draw it from the FaultModel.
 	StartDelaySteps uint64
 	// TrackVisits, when non-nil, records every visited cell (including the
-	// origin) into the given set. Used by coverage experiments.
+	// origin) that lies in the set's radius-r ball; cells outside it are
+	// not kept. Used by coverage experiments.
 	TrackVisits *grid.VisitSet
 	// RecordPath, when true, appends every position (starting at the
 	// origin, including oracle returns) to the trajectory returned by

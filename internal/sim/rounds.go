@@ -103,7 +103,8 @@ type RoundsConfig struct {
 	// StopOnFound ends the run at the end of the round in which the
 	// target is first found.
 	StopOnFound bool
-	// TrackRadius, when positive, maintains the union visit set.
+	// TrackRadius, when positive, maintains the union visit set over the
+	// ball of that radius (cells outside it are not kept).
 	TrackRadius int64
 	// SparseVisits forces the sparse tile-index backing for the visit sets
 	// regardless of TrackRadius (large radii select it automatically). The

@@ -55,8 +55,9 @@ type Config struct {
 	// MoveBudget caps each agent's moves; 0 means unlimited (only safe for
 	// algorithms guaranteed to find the target).
 	MoveBudget uint64
-	// TrackRadius, when positive, records every cell visited by any agent
-	// into a merged VisitSet with the given ball radius.
+	// TrackRadius, when positive, records every cell of the radius-
+	// TrackRadius ball visited by any agent into a merged VisitSet; cells
+	// outside the ball are not kept.
 	TrackRadius int64
 	// SparseVisits forces the sparse tile-index backing for the visit sets
 	// regardless of TrackRadius (large radii select it automatically); see

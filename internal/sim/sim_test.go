@@ -87,8 +87,8 @@ func TestEnvVisitedTracking(t *testing.T) {
 	env := NewEnv(EnvConfig{Src: rng.New(1), TrackVisits: v})
 	_ = env.Move(grid.Up)
 	_ = env.Move(grid.Right)
-	if v.Count() != 3 { // origin + 2 cells
-		t.Errorf("visited count = %d, want 3", v.Count())
+	if v.CountInBall() != 3 { // origin + 2 cells
+		t.Errorf("visited count = %d, want 3", v.CountInBall())
 	}
 	if !v.Contains(grid.Point{X: 1, Y: 1}) {
 		t.Error("missing final position")
@@ -275,8 +275,8 @@ func TestRunCoverageTracking(t *testing.T) {
 	if res.Visited == nil {
 		t.Fatal("expected merged visit set")
 	}
-	if res.Visited.Count() < 10 {
-		t.Errorf("coverage count = %d, implausibly small", res.Visited.Count())
+	if res.Visited.CountInBall() < 10 {
+		t.Errorf("coverage count = %d, implausibly small", res.Visited.CountInBall())
 	}
 	if !res.Visited.Contains(grid.Origin) {
 		t.Error("origin must be visited")

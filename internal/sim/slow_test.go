@@ -36,9 +36,9 @@ func TestMillionAgentUnboundedSmoke(t *testing.T) {
 	}
 	// In `rounds` steps a walker reaches exactly the Manhattan-radius
 	// diamond of 2r(r+1)+1 cells, and 2^20 agents saturate it w.h.p.
-	if want := int64(2*rounds*(rounds+1) + 1); res.Visited.Count() != want {
+	if want := int64(2*rounds*(rounds+1) + 1); res.Visited.CountInBall() != want {
 		t.Fatalf("coverage = %d cells, want the full radius-%d diamond (%d)",
-			res.Visited.Count(), rounds, want)
+			res.Visited.CountInBall(), rounds, want)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -49,5 +49,5 @@ func TestMillionAgentUnboundedSmoke(t *testing.T) {
 			ms.Sys>>20, memLimit>>20)
 	}
 	t.Logf("1M agents × %d rounds: %d cells visited, Sys = %d MB",
-		rounds, res.Visited.Count(), ms.Sys>>20)
+		rounds, res.Visited.CountInBall(), ms.Sys>>20)
 }

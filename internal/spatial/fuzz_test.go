@@ -7,8 +7,8 @@ import (
 
 // FuzzSparseVisit drives an Index against a map oracle with a byte-coded
 // op stream: each 5-byte record is 1 op byte + 4 coordinate bytes. Ops
-// cycle through visit, contains, merge-into-scratch, and ball queries, so
-// the fuzzer explores promotion, tile reuse, and merge alignment.
+// cycle through visit, contains, visit-into-scratch, and merge-scratch-in,
+// so the fuzzer explores promotion, tile reuse, and merge alignment.
 func FuzzSparseVisit(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 255, 255, 255, 255})
@@ -49,7 +49,7 @@ func FuzzSparseVisit(f *testing.F) {
 				scratch.Visit(x, y)
 				scratchOracle[cell{x, y}] = true
 			case 3:
-				added, _ := ix.Merge(scratch, -1)
+				added := ix.Merge(scratch)
 				wantAdded := 0
 				for c := range scratchOracle {
 					if !oracle[c] {

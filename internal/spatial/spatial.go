@@ -25,7 +25,7 @@
 // power-of-two boundary would force.
 //
 // An Index is not safe for concurrent mutation. Read-only queries
-// (Contains, Each*, Nearest) never mutate the structure — including the
+// (Contains, Each, Nearest) never mutate the structure — including the
 // internal last-tile write cache — so a quiesced Index may be shared by any
 // number of readers; the sim package relies on this for obstacle and target
 // membership.
@@ -271,68 +271,12 @@ func eachNode(n *node, level uint, bx, by uint64, fn func(x, y int64)) {
 	}
 }
 
-// EachInBall calls fn for every cell (x, y) in the set with max-norm at
-// most r. Subtrees entirely outside the ball are pruned, so the cost is
-// proportional to the tiles intersecting the ball, not to the whole set.
-func (ix *Index) EachInBall(r int64, fn func(x, y int64)) {
-	if ix.root == nil || r < 0 {
-		return
-	}
-	eachBall(ix.root, ix.level, ix.rootX, ix.rootY, r, fn)
-}
-
-// blockRange returns the signed cell-coordinate range [lo, hi] covered by
-// block (bx, by) at the given level (same span on both axes, returned for
-// the x axis; shift by for y).
-func blockSpan(b uint64, level uint) (lo, hi int64) {
-	size := int64(TileSize) << (nodeShift * level)
-	lo = unbias(b << (TileShift + nodeShift*level))
-	return lo, lo + size - 1
-}
-
-func eachBall(n *node, level uint, bx, by uint64, r int64, fn func(x, y int64)) {
-	loX, hiX := blockSpan(bx, level)
-	loY, hiY := blockSpan(by, level)
-	if loX > r || hiX < -r || loY > r || hiY < -r {
-		return
-	}
-	inside := loX >= -r && hiX <= r && loY >= -r && hiY <= r
-	if n.bits != nil {
-		baseX, baseY := loX, loY
-		for row, w := range n.bits {
-			y := baseY + int64(row)
-			if !inside && (y > r || y < -r) {
-				continue
-			}
-			for w != 0 {
-				col := bits.TrailingZeros64(w)
-				w &= w - 1
-				x := baseX + int64(col)
-				if inside || (x >= -r && x <= r) {
-					fn(x, y)
-				}
-			}
-		}
-		return
-	}
-	for i, child := range n.kids {
-		if child != nil {
-			cx := bx<<nodeShift | uint64(i&nodeMask)
-			cy := by<<nodeShift | uint64(i>>nodeShift)
-			eachBall(child, level-1, cx, cy, r, fn)
-		}
-	}
-}
-
 // Merge inserts every cell of other into ix by structural descent with
-// word-OR at aligned leaf tiles — no per-cell hashing or probing. It
-// returns the number of newly inserted cells, and, when ballR >= 0, how
-// many of those have max-norm at most ballR (tiles entirely inside or
-// outside the ball are classified once; only boundary tiles pay a per-bit
-// norm check). Merging does not modify other.
-func (ix *Index) Merge(other *Index, ballR int64) (added, addedInBall int64) {
+// word-OR at aligned leaf tiles — no per-cell hashing or probing — and
+// returns the number of newly inserted cells. Merging does not modify other.
+func (ix *Index) Merge(other *Index) (added int64) {
 	if other == nil || other.root == nil {
-		return 0, 0
+		return 0
 	}
 	if ix.root == nil {
 		ix.level = other.level
@@ -374,64 +318,24 @@ func (ix *Index) Merge(other *Index, ballR int64) (added, addedInBall int64) {
 		}
 		n = child
 	}
-	added, addedInBall = mergeNode(n, other.root, other.level, other.rootX, other.rootY, ballR)
+	added = mergeNode(n, other.root)
 	ix.count += added
 	if other.count > 0 {
 		ix.boundsAdd(other.minTX, other.minTY)
 		ix.boundsAdd(other.maxTX, other.maxTY)
 	}
-	return added, addedInBall
+	return added
 }
 
-func mergeNode(dst, src *node, level uint, bx, by uint64, ballR int64) (added, addedInBall int64) {
+func mergeNode(dst, src *node) (added int64) {
 	if src.bits != nil {
-		// Classify the whole tile against the ball once.
-		const (
-			ballSkip = iota // ballR < 0: caller does not track the ball
-			ballIn          // tile entirely inside the ball
-			ballOut         // tile entirely outside the ball
-			ballEdge        // tile crosses the ball boundary
-		)
-		class := ballSkip
-		var loX, hiX, loY, hiY int64
-		if ballR >= 0 {
-			loX, hiX = blockSpan(bx, 0)
-			loY, hiY = blockSpan(by, 0)
-			switch {
-			case loX >= -ballR && hiX <= ballR && loY >= -ballR && hiY <= ballR:
-				class = ballIn
-			case loX > ballR || hiX < -ballR || loY > ballR || hiY < -ballR:
-				class = ballOut
-			default:
-				class = ballEdge
-			}
-		}
 		for w, sw := range src.bits {
-			nw := sw &^ dst.bits[w]
-			if nw == 0 {
-				continue
-			}
-			dst.bits[w] |= nw
-			cnt := int64(bits.OnesCount64(nw))
-			added += cnt
-			switch class {
-			case ballIn:
-				addedInBall += cnt
-			case ballEdge:
-				y := loY + int64(w)
-				if y > ballR || y < -ballR {
-					break
-				}
-				for nw != 0 {
-					col := bits.TrailingZeros64(nw)
-					nw &= nw - 1
-					if x := loX + int64(col); x >= -ballR && x <= ballR {
-						addedInBall++
-					}
-				}
+			if nw := sw &^ dst.bits[w]; nw != 0 {
+				dst.bits[w] |= nw
+				added += int64(bits.OnesCount64(nw))
 			}
 		}
-		return added, addedInBall
+		return added
 	}
 	for i, schild := range src.kids {
 		if schild == nil {
@@ -446,13 +350,9 @@ func mergeNode(dst, src *node, level uint, bx, by uint64, ballR int64) (added, a
 			}
 			dst.kids[i] = dchild
 		}
-		cx := bx<<nodeShift | uint64(i&nodeMask)
-		cy := by<<nodeShift | uint64(i>>nodeShift)
-		a, b := mergeNode(dchild, schild, level-1, cx, cy, ballR)
-		added += a
-		addedInBall += b
+		added += mergeNode(dchild, schild)
 	}
-	return added, addedInBall
+	return added
 }
 
 // Nearest returns the cell of the set closest to (x, y) in max-norm,

@@ -117,40 +117,6 @@ func TestPromotionInvariants(t *testing.T) {
 	}
 }
 
-func TestEachInBallMatchesFilter(t *testing.T) {
-	src := rng.New(99)
-	ix := NewIndex()
-	all := map[cell]bool{}
-	for _, c := range randWalkCells(src, 8000, 300) {
-		ix.Visit(c.x, c.y)
-		all[c] = true
-	}
-	for _, r := range []int64{0, 1, 63, 64, 65, 200, 1 << 30} {
-		want := map[cell]bool{}
-		for c := range all {
-			if max64(abs64(c.x), abs64(c.y)) <= r {
-				want[c] = true
-			}
-		}
-		got := map[cell]bool{}
-		ix.EachInBall(r, func(x, y int64) {
-			c := cell{x, y}
-			if got[c] {
-				t.Fatalf("r=%d: duplicate (%d,%d)", r, x, y)
-			}
-			got[c] = true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("r=%d: got %d cells, want %d", r, len(got), len(want))
-		}
-		for c := range got {
-			if !want[c] {
-				t.Fatalf("r=%d: (%d,%d) outside ball", r, c.x, c.y)
-			}
-		}
-	}
-}
-
 func TestMergeCommutativeAndCounted(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		src := rng.New(seed*31 + 1)
@@ -178,20 +144,8 @@ func TestMergeCommutativeAndCounted(t *testing.T) {
 			union[c] = true
 		}
 
-		const r = 80
-		wantInBall := 0
-		for c := range mb {
-			if !ma[c] && max64(abs64(c.x), abs64(c.y)) <= r {
-				wantInBall++
-			}
-		}
-
-		added, inBall := a.Merge(b, r)
-		if added != int64(onlyB) {
+		if added := a.Merge(b); added != int64(onlyB) {
 			t.Fatalf("seed %d: a.Merge(b) added %d, want %d", seed, added, onlyB)
-		}
-		if inBall != int64(wantInBall) {
-			t.Fatalf("seed %d: a.Merge(b) addedInBall %d, want %d", seed, inBall, wantInBall)
 		}
 		if a.Count() != int64(len(union)) {
 			t.Fatalf("seed %d: merged count %d, want %d", seed, a.Count(), len(union))
@@ -208,7 +162,7 @@ func TestMergeCommutativeAndCounted(t *testing.T) {
 		for _, c := range randWalkCells(src2, 3000, 1<<30) {
 			b2.Visit(c.x, c.y)
 		}
-		b2.Merge(a2, -1)
+		b2.Merge(a2)
 		if b2.Count() != a.Count() {
 			t.Fatalf("seed %d: merge not commutative: %d vs %d", seed, b2.Count(), a.Count())
 		}
@@ -219,7 +173,7 @@ func TestMergeCommutativeAndCounted(t *testing.T) {
 		})
 
 		// Idempotence: re-merging adds nothing.
-		if again, _ := a.Merge(b, r); again != 0 {
+		if again := a.Merge(b); again != 0 {
 			t.Fatalf("seed %d: re-merge added %d cells", seed, again)
 		}
 	}
@@ -232,7 +186,7 @@ func TestMergeIntoEmpty(t *testing.T) {
 		b.Visit(c.x, c.y)
 	}
 	a := NewIndex()
-	added, _ := a.Merge(b, -1)
+	added := a.Merge(b)
 	if added != b.Count() || a.Count() != b.Count() {
 		t.Fatalf("merge into empty: added=%d count=%d, want %d", added, a.Count(), b.Count())
 	}
@@ -323,18 +277,4 @@ func TestVisitSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Visit allocated %v times per run, want 0", allocs)
 	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
