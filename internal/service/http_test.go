@@ -16,6 +16,9 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // newTestServer starts a real service behind an httptest server and
@@ -525,8 +528,32 @@ func TestScenarioArtifactDeterministic(t *testing.T) {
 	if art.SchemaVersion != scenarioArtifactSchemaVersion || art.World != "torus-24" {
 		t.Errorf("artifact fields: %+v", art)
 	}
-	if art.FoundFrac < 0 || art.FoundFrac > 1 {
-		t.Errorf("found_frac out of range: %v", art.FoundFrac)
+
+	// The direct computation: the same world, algorithm, budget and seed
+	// through the scenario and engine packages, no service in between.
+	scn, err := scenario.Build(spec.Scenario, spec.D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, _, err := experiment.BuildAlgorithm(spec.Algo, spec.D, spec.N, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.RunTrials(scn.Apply(sim.Config{NumAgents: spec.N, MoveBudget: experiment.DefaultMoveBudget(spec.D)}),
+		factory, spec.Trials, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Moves) == 0 {
+		t.Fatal("direct run found no target; pick a spec whose trials succeed")
+	}
+	sum, err := stats.Summarize(st.Moves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.FoundFrac != st.FoundFrac || art.Samples != sum.N || art.MeanMoves != sum.Mean || art.MedianMoves != sum.Median {
+		t.Errorf("artifact found_frac=%v samples=%d mean=%v median=%v, direct run found_frac=%v samples=%d mean=%v median=%v",
+			art.FoundFrac, art.Samples, art.MeanMoves, art.MedianMoves, st.FoundFrac, sum.N, sum.Mean, sum.Median)
 	}
 }
 

@@ -97,10 +97,10 @@ func synthJob(mod func(*JobSpec)) JobSpec {
 	return s
 }
 
-// Regenerate the grid-job golden artifacts after a deliberate grid,
-// kernel or artifact-layout change with:
+// Regenerate the grid-job and scenario-job golden artifacts after a
+// deliberate grid, kernel or artifact-layout change with:
 //
-//	go test ./internal/service -run GridJobArtifactsGolden -update
+//	go test ./internal/service -run 'JobArtifactsGolden' -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden artifacts under testdata/")
 
 // goldenShardSpec and goldenSynthSpec are the grid jobs whose artifacts
@@ -143,23 +143,64 @@ func TestGridJobArtifactsGolden(t *testing.T) {
 			if format == "json" {
 				got = elapsedField.ReplaceAll(got, nil)
 			}
-			path := filepath.Join("testdata", name+"."+format)
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden artifact (regenerate with -update): %v", err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("%s artifact drifted from %s:\ngot:\n%s\nwant:\n%s", name, path, got, want)
-			}
+			checkGolden(t, name+"."+format, got)
 		}
+	}
+}
+
+// TestScenarioJobArtifactsGolden pins the JSON and CSV artifacts of two
+// scenario jobs byte for byte on a cold daemon cache: the paper's open
+// plane under the non-uniform algorithm, and a comma-bearing torus spec
+// with crash faults under the random walk. Scenario artifacts carry no
+// timing, so nothing is stripped.
+func TestScenarioJobArtifactsGolden(t *testing.T) {
+	svc, err := New(Config{Workers: 1, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	specs := map[string]JobSpec{
+		"scenario_open": {Kind: KindScenario, Scenario: "open", Algo: "non-uniform", D: 16, N: 4, Trials: 6, Seed: 5},
+		"scenario_torus_crash": {Kind: KindScenario, Scenario: "torus:crash=0.1,l=24", Algo: "random-walk",
+			D: 3, N: 8, Trials: 4, Seed: 7},
+	}
+	for name, spec := range specs {
+		job, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitTerminal(t, svc, job.ID); final.State != StateDone {
+			t.Fatalf("%s job ended %s (%s)", name, final.State, final.Error)
+		}
+		for _, format := range []string{"json", "csv"} {
+			got, err := svc.Artifact(job.ID, format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name+"."+format, got)
+		}
+	}
+}
+
+// checkGolden compares an artifact with testdata/<file>, rewriting the
+// file first under -update.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden artifact (regenerate with -update): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("artifact drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
