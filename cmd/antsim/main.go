@@ -200,7 +200,13 @@ func run(args []string, out io.Writer) error {
 			// synchronous rounds engine; -algo does not apply there.
 			return runRoundsScenario(scn, *d, *n, *trials, *seed, *budget, *workers, out)
 		}
-		st, err = sim.RunTrials(scn.Apply(cfg), factory, *trials, *seed)
+		// The service's scenario jobs run this same one-point grid.
+		g := experiment.ScenarioGrid(*scnSpec, *algo, *d, *n, *ell, moveBudget, *trials)
+		var res *sweep.Result
+		res, err = experiment.ScenarioPoint(g.Points()[0], sweep.Ctx{Seed: *seed, Trials: *trials, Workers: *workers})
+		if err == nil {
+			st = &sim.TrialStats{FoundFrac: res.Values["found_frac"], Moves: res.Samples}
+		}
 	} else {
 		st, err = sim.RunPlacedTrials(cfg, placement, *d, factory, *trials, *seed)
 	}

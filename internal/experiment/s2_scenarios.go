@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/baseline"
 	"repro/internal/scenario"
-	"repro/internal/search"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -104,19 +102,11 @@ func s2Point(p sweep.Point, ctx sweep.Ctx) (*sweep.Result, error) {
 	}, nil
 }
 
+// s2Factory builds an S2 algorithm through BuildAlgorithm at ℓ = 1; the
+// agent count enters neither S2 algorithm.
 func s2Factory(algo string, d int64) (sim.Factory, error) {
-	switch algo {
-	case "non-uniform":
-		prog, err := search.NewNonUniform(d, 1)
-		if err != nil {
-			return nil, err
-		}
-		return func() sim.Program { return prog }, nil
-	case "random-walk":
-		return baseline.RandomWalkFactory(), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown S2 algorithm %q", algo)
-	}
+	factory, _, err := BuildAlgorithm(algo, d, 1, 1)
+	return factory, err
 }
 
 // s2Seed derives the point seed with an FNV-1a fold over the string axes

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/synth"
 )
@@ -42,8 +43,9 @@ type JobState string
 // The job lifecycle states. Transitions: queued → running → done | failed;
 // queued → cancelled (cancel or shutdown before a worker claims the job);
 // running → cancelled (cancel or shutdown drain timeout — observed at the
-// next grid-point boundary for sweep jobs, by abandoning the in-flight
-// engine call for scenario jobs). done, failed and cancelled are terminal.
+// next grid-point boundary, after any in-flight point has finished and
+// been cached; a scenario job's one point is its whole engine call).
+// done, failed and cancelled are terminal.
 const (
 	// StateQueued: accepted and waiting for a worker.
 	StateQueued JobState = "queued"
@@ -68,8 +70,10 @@ const (
 	// KindSweep runs a registered experiment grid (internal/experiment)
 	// through the sweep layer, exactly like `antsim -sweep`.
 	KindSweep = "sweep"
-	// KindScenario runs one scenario configuration (internal/scenario),
-	// exactly like `antsim -scenario`.
+	// KindScenario runs one scenario configuration (internal/scenario) as
+	// the one-point experiment.ScenarioGrid on the asynchronous engine,
+	// exactly like `antsim -scenario` on an asynchronous preset: a mixed
+	// colony drops its roster, the adaptive adversary fails Validate.
 	KindScenario = "scenario"
 	// KindShard runs a subset of a registered sweep's grid points,
 	// identified by expansion index. It is the worker half of distributed
@@ -144,7 +148,8 @@ type JobSpec struct {
 	Seed uint64 `json:"seed"`
 	// Workers bounds the job's internal concurrency: concurrently running
 	// grid points for KindSweep, KindShard and KindSynth, engine workers
-	// for KindScenario (0 = GOMAXPROCS). Results never depend on it.
+	// for KindScenario's single point (0 = GOMAXPROCS). Results and cache
+	// keys never depend on it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -188,9 +193,10 @@ func (s *JobSpec) Normalize() {
 // Validate checks the (normalized) spec against the registries it names:
 // the sweep id must be registered in internal/experiment, the synth
 // candidates must build, the scenario spec must build in
-// internal/scenario, the algorithm name must resolve, and a grid job's
-// point indexes must be unique and in range of the grid ResolveGrid
-// names. It reports the first problem found.
+// internal/scenario without the adaptive adversary (an error wrapping
+// sim.ErrAdaptiveAsync), the algorithm name must resolve, and the point
+// indexes must be unique and in range of the grid ResolveGrid names. It
+// reports the first problem found.
 func (s JobSpec) Validate() error {
 	switch s.Kind {
 	case KindSweep, KindShard:
@@ -243,17 +249,17 @@ func (s JobSpec) Validate() error {
 		if s.Sweep != "" || s.Quick || len(s.Points) != 0 || len(s.SynthSpecs) != 0 || len(s.SynthDs) != 0 || s.SynthAgents != 0 || s.SynthBudgetFactor != 0 {
 			return fmt.Errorf("service: scenario job sets sweep-only or synth-only fields")
 		}
-		if s.D < 1 {
-			return fmt.Errorf("service: scenario job needs d ≥ 1, got %d", s.D)
+		if s.D < 1 || s.N < 1 || s.Trials < 1 {
+			return fmt.Errorf("service: scenario job needs d, n and trials ≥ 1, got d=%d n=%d trials=%d", s.D, s.N, s.Trials)
 		}
-		if s.N < 1 {
-			return fmt.Errorf("service: scenario job needs n ≥ 1, got %d", s.N)
-		}
-		if s.Trials < 1 {
-			return fmt.Errorf("service: scenario job needs trials ≥ 1, got %d", s.Trials)
-		}
-		if _, err := scenario.Build(s.Scenario, s.D); err != nil {
+		scn, err := scenario.Build(s.Scenario, s.D)
+		if err != nil {
 			return err
+		}
+		if scn.Faults.Policy == sim.CrashNearest {
+			// Scenario jobs run the asynchronous engine, which has no
+			// adaptive adversary; fail at submit, not after queueing.
+			return fmt.Errorf("service: scenario %q: %w", s.Scenario, sim.ErrAdaptiveAsync)
 		}
 		if _, _, err := experiment.BuildAlgorithm(s.Algo, s.D, s.N, s.Ell); err != nil {
 			return err
@@ -263,22 +269,20 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("service: unknown job kind %q (valid: %q, %q, %q, %q)", s.Kind, KindSweep, KindScenario, KindShard, KindSynth)
 	}
-	if s.Kind != KindScenario {
-		g, _, _, err := s.ResolveGrid()
-		if err != nil {
-			return err
+	g, _, _, err := s.ResolveGrid()
+	if err != nil {
+		return err
+	}
+	size := g.Size()
+	seen := make(map[int]bool, len(s.Points))
+	for _, idx := range s.Points {
+		if idx < 0 || idx >= size {
+			return fmt.Errorf("service: %s point index %d out of range [0,%d) of grid %s", s.Kind, idx, size, g.Name)
 		}
-		size := g.Size()
-		seen := make(map[int]bool, len(s.Points))
-		for _, idx := range s.Points {
-			if idx < 0 || idx >= size {
-				return fmt.Errorf("service: %s point index %d out of range [0,%d) of grid %s", s.Kind, idx, size, g.Name)
-			}
-			if seen[idx] {
-				return fmt.Errorf("service: %s point index %d listed twice", s.Kind, idx)
-			}
-			seen[idx] = true
+		if seen[idx] {
+			return fmt.Errorf("service: %s point index %d listed twice", s.Kind, idx)
 		}
+		seen[idx] = true
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("service: workers must be ≥ 0, got %d", s.Workers)
@@ -286,13 +290,14 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// ResolveGrid names the grid a grid job (KindSweep, KindShard or
-// KindSynth) computes: the expanded grid, its point kernel, and the label
-// its shard artifacts carry. Sweep and shard specs resolve through the
-// experiment registry (label: the sweep id); synth specs resolve to the
-// synthesis evaluation grid over their candidates (label: "synth"). It
-// is the one mapping from a spec to its grid, shared by the worker that
-// executes the points and the coordinator that ships and merges them.
+// ResolveGrid names the grid a job computes: the expanded grid, its
+// point kernel, and the label its shard artifacts carry. Sweep and shard
+// specs resolve through the experiment registry (label: the sweep id);
+// synth specs resolve to the synthesis evaluation grid over their
+// candidates (label: "synth"); scenario specs resolve to the one-point
+// experiment.ScenarioGrid (label: "scenario"). It is the one mapping
+// from a spec to its grid, shared by the executor that runs the points
+// and the coordinator that ships and merges them.
 func (s JobSpec) ResolveGrid() (sweep.Grid, sweep.PointFunc, string, error) {
 	switch s.Kind {
 	case KindSweep, KindShard:
@@ -303,6 +308,8 @@ func (s JobSpec) ResolveGrid() (sweep.Grid, sweep.PointFunc, string, error) {
 		return sp.Grid(experiment.Config{Quick: s.Quick}), sp.Point, sp.Name, nil
 	case KindSynth:
 		return synth.EvalGrid(s.SynthSpecs, s.synthEval()), synth.Kernel, KindSynth, nil
+	case KindScenario:
+		return experiment.ScenarioGrid(s.Scenario, s.Algo, s.D, s.N, s.Ell, s.Budget, s.Trials), experiment.ScenarioPoint, KindScenario, nil
 	default:
 		return sweep.Grid{}, nil, "", fmt.Errorf("service: %s job names no grid", s.Kind)
 	}
@@ -336,14 +343,13 @@ type Job struct {
 	// Error holds the failure (or cancellation) message for terminal
 	// failed/cancelled states.
 	Error string `json:"error,omitempty"`
-	// Done counts finished work units: grid points for sweep jobs, trials
-	// for scenario jobs.
+	// Done counts finished grid points (a scenario job has one).
 	Done int `json:"done"`
-	// Total is the job's total work units, set when the job starts
+	// Total is the job's grid-point count, set when the job starts
 	// running (0 while queued).
 	Total int `json:"total"`
-	// CacheHits counts the sweep points served from the content-addressed
-	// cache (always 0 for scenario jobs).
+	// CacheHits counts the grid points served from the content-addressed
+	// cache, scenario jobs' single point included.
 	CacheHits int `json:"cache_hits"`
 	// CreatedAt timestamps the submission.
 	CreatedAt time.Time `json:"created_at"`
@@ -360,8 +366,8 @@ const (
 	// EventState announces a lifecycle transition; Event.State has the
 	// new state and, for terminal failures, Event.Error the message.
 	EventState = "state"
-	// EventPoint announces one finished work unit (a sweep grid point),
-	// with Done/Total progress counters.
+	// EventPoint announces one finished grid point, with Done/Total
+	// progress counters.
 	EventPoint = "point"
 	// EventTotal announces the job's total work units as soon as the
 	// executor knows them — before the first point finishes — so stream

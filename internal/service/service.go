@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/monitor"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 )
@@ -50,9 +48,9 @@ type Config struct {
 	// (default 64); submissions beyond it fail with ErrQueueFull.
 	QueueDepth int
 	// CacheDir, when non-empty, roots the content-addressed sweep-point
-	// cache shared by every sweep job (and by CLI runs pointed at the
-	// same directory). Sweep jobs then resume: previously computed points
-	// are served from disk.
+	// cache shared by every job (and by CLI runs pointed at the same
+	// directory). Jobs then resume: previously computed points are served
+	// from disk.
 	CacheDir string
 	// DataDir, when non-empty, makes results durable: every finished
 	// job's artifacts are also written to <DataDir>/<jobID>.json and
@@ -100,7 +98,7 @@ type Stats struct {
 	Failed int `json:"failed"`
 	// Cancelled counts jobs cancelled by a client or by shutdown.
 	Cancelled int `json:"cancelled"`
-	// PointsDone counts finished sweep grid points since start.
+	// PointsDone counts finished grid points, all job kinds, since start.
 	PointsDone int64 `json:"points_done"`
 	// PointsPerSec is PointsDone over the uptime.
 	PointsPerSec float64 `json:"points_per_sec"`
@@ -728,61 +726,64 @@ func (s *Service) runOne(rec *record) {
 	s.tenantDone(tenant)
 }
 
-// executeJob is the real executor: it dispatches on the spec kind and
-// returns the JSON and CSV artifacts.
+// executeJob is the real executor of all four kinds: the spec's grid
+// through runGrid.
 func (s *Service) executeJob(ctx context.Context, rec *record) ([]byte, []byte, error) {
 	spec := rec.snapshot().Spec
-	switch spec.Kind {
-	case KindSweep:
-		return s.executeSweep(ctx, rec, spec)
-	case KindScenario:
-		return s.executeScenario(ctx, rec, spec)
-	case KindShard, KindSynth:
-		return s.executeGrid(ctx, rec, spec)
-	default:
-		return nil, nil, fmt.Errorf("service: unknown job kind %q", spec.Kind)
-	}
-}
-
-// executeSweep runs a registered sweep exactly like `antsim -sweep`: same
-// grid, kernel and options as a grid job (gridOptions), same Summary
-// artifacts. With a CacheDir the run resumes from previously computed
-// points; cache provenance shows up in the JSON artifact's metadata but
-// never changes the CSV bytes.
-func (s *Service) executeSweep(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	g, point, _, err := spec.ResolveGrid()
+	g, point, label, err := spec.ResolveGrid()
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.setTotal(g.Size())
+	return s.runGrid(ctx, rec, spec, g, point, label)
+}
+
+// runGrid computes the job's points through the sweep layer (a sweep job
+// through the distributor when one is installed) and renders the kind's
+// artifacts: Summary (exactly `antsim -sweep`'s), scenarioArtifact or
+// ShardArtifact. Every kind cancels at a point boundary: a kernel in
+// flight completes and is cached before runGrid returns.
+func (s *Service) runGrid(ctx context.Context, rec *record, spec JobSpec, g sweep.Grid, point sweep.PointFunc, label string) ([]byte, []byte, error) {
+	total := len(spec.Points)
+	if total == 0 {
+		total = g.Size()
+	}
+	rec.setTotal(total)
 	opts, err := s.gridOptions(rec, spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rep *sweep.Report
-	if d := s.getDistributor(); d != nil {
+	handled := false
+	if d := s.getDistributor(); d != nil && spec.Kind == KindSweep {
 		// Distributed execution: the cluster layer shards the grid across
 		// joined workers and merges a report identical to a local run's.
 		// handled=false (no live fleet) falls through to local execution.
-		drep, handled, err := d(ctx, spec, opts.Progress)
-		if err != nil {
-			return nil, nil, err
-		}
-		if handled {
-			rep = drep
+		rep, handled, err = d(ctx, spec, opts.Progress)
+	}
+	if err == nil && !handled {
+		if len(spec.Points) == 0 {
+			rep, err = sweep.RunContext(ctx, g, point, opts)
+		} else {
+			rep = &sweep.Report{Grid: g, Seed: spec.Seed}
+			rep.Points, err = sweep.RunPointsContext(ctx, g, spec.Points, point, opts)
 		}
 	}
-	if rep == nil {
-		if rep, err = sweep.RunContext(ctx, g, point, opts); err != nil {
-			return nil, nil, err
-		}
-	}
-	sum := rep.Summary()
-	jsonB, err := sum.JSON()
 	if err != nil {
 		return nil, nil, err
 	}
-	return jsonB, []byte(sum.CSV()), nil
+	switch spec.Kind {
+	case KindSweep:
+		sum := rep.Summary()
+		jsonB, err := sum.JSON()
+		if err != nil {
+			return nil, nil, err
+		}
+		return jsonB, []byte(sum.CSV()), nil
+	case KindScenario:
+		return scenarioArtifacts(spec, rep.Points[0].Result)
+	default:
+		return shardArtifacts(spec, label, rep)
+	}
 }
 
 // scenarioArtifactSchemaVersion versions the scenario-job artifact layout.
@@ -790,8 +791,8 @@ const scenarioArtifactSchemaVersion = 1
 
 // scenarioArtifact is the JSON result of a scenario job. Every field is a
 // deterministic function of the normalized spec; there is no timing, so
-// the JSON (and the derived CSV) is byte-stable across runs, hosts and
-// worker counts.
+// the JSON (and the derived CSV) is byte-stable across runs, hosts,
+// worker counts and cache state.
 type scenarioArtifact struct {
 	SchemaVersion int     `json:"schema_version"`
 	Spec          JobSpec `json:"spec"`
@@ -808,48 +809,16 @@ type scenarioArtifact struct {
 	MaxMoves      float64 `json:"max_moves"`
 }
 
-// executeScenario runs one scenario configuration exactly like
-// `antsim -scenario`: scenario overlay on a sim.Config, RunTrials, and a
-// deterministic summary artifact. Scenario jobs have no per-point
-// progress (trials run inside one engine call); cancellation abandons
-// the in-flight engine call — the goroutine finishes in the background
-// and its result is discarded — so shutdown never blocks on it.
-func (s *Service) executeScenario(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
+// scenarioArtifacts renders a scenario job's artifacts from its one
+// point's result plus the world and χ audit the spec describes.
+func scenarioArtifacts(spec JobSpec, res *sweep.Result) ([]byte, []byte, error) {
 	scn, err := scenario.Build(spec.Scenario, spec.D)
 	if err != nil {
 		return nil, nil, err
 	}
-	factory, audit, err := experiment.BuildAlgorithm(spec.Algo, spec.D, spec.N, spec.Ell)
+	_, audit, err := experiment.BuildAlgorithm(spec.Algo, spec.D, spec.N, spec.Ell)
 	if err != nil {
 		return nil, nil, err
-	}
-	cfg := scn.Apply(sim.Config{
-		NumAgents:  spec.N,
-		MoveBudget: spec.Budget,
-		Workers:    spec.Workers,
-	})
-	rec.setTotal(spec.Trials)
-	type trialsOutcome struct {
-		st  *sim.TrialStats
-		err error
-	}
-	outcome := make(chan trialsOutcome, 1) // buffered: an abandoned run must not leak its goroutine
-	go func() {
-		st, err := sim.RunTrials(cfg, factory, spec.Trials, spec.Seed)
-		outcome <- trialsOutcome{st, err}
-	}()
-	var st *sim.TrialStats
-	select {
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	case out := <-outcome:
-		if out.err != nil {
-			return nil, nil, out.err
-		}
-		st = out.st
 	}
 	art := scenarioArtifact{
 		SchemaVersion: scenarioArtifactSchemaVersion,
@@ -858,21 +827,16 @@ func (s *Service) executeScenario(ctx context.Context, rec *record, spec JobSpec
 		World:         scn.WorldName(),
 		Targets:       len(scn.Targets),
 		Audit:         audit,
-		FoundFrac:     st.FoundFrac,
+		FoundFrac:     res.Values["found_frac"],
 	}
-	if len(st.Moves) > 0 {
-		sum, err := stats.Summarize(st.Moves)
+	if len(res.Samples) > 0 {
+		sum, err := stats.Summarize(res.Samples)
 		if err != nil {
 			return nil, nil, err
 		}
-		art.Samples = sum.N
-		art.MeanMoves = sum.Mean
-		art.CI95Moves = sum.CI95
-		art.MedianMoves = sum.Median
-		art.MinMoves = sum.Min
-		art.MaxMoves = sum.Max
+		art.Samples, art.MeanMoves, art.CI95Moves = sum.N, sum.Mean, sum.CI95
+		art.MedianMoves, art.MinMoves, art.MaxMoves = sum.Median, sum.Min, sum.Max
 	}
-	rec.progress(spec.Trials, spec.Trials, "trials="+strconv.Itoa(spec.Trials), false)
 	jsonB, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		return nil, nil, err

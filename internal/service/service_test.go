@@ -6,8 +6,12 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // newFakeService returns a 1-worker service whose executor blocks until
@@ -55,6 +59,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{"scenario bad preset", JobSpec{Kind: KindScenario, Scenario: "nope", D: 8, N: 1, Trials: 1}, false},
 		{"scenario bad algo", JobSpec{Kind: KindScenario, Scenario: "open", Algo: "nope", D: 8, N: 1, Trials: 1}, false},
 		{"scenario with sweep fields", JobSpec{Kind: KindScenario, Scenario: "open", Sweep: "s1", D: 8, N: 1, Trials: 1}, false},
+		{"scenario adaptive adversary", JobSpec{Kind: KindScenario, Scenario: "adaptive-crash", D: 8, N: 4, Trials: 1}, false},
+		{"scenario mixed colony runs async", JobSpec{Kind: KindScenario, Scenario: "mixed", D: 8, N: 4, Trials: 1}, true},
 		{"no kind", JobSpec{}, false},
 		{"bad kind", JobSpec{Kind: "bogus"}, false},
 		{"negative workers", JobSpec{Kind: KindSweep, Sweep: "s1", Workers: -1}, false},
@@ -433,34 +439,112 @@ func TestCancelQueuedJobFreesCapacity(t *testing.T) {
 	}
 }
 
-// TestCancelRunningScenarioJobAbandons: a running scenario job has no
-// internal cancellation points, so cancel must abandon the engine call
-// and reach the terminal state promptly instead of blocking on it.
-func TestCancelRunningScenarioJobAbandons(t *testing.T) {
+// TestValidateRejectsAdaptiveScenario: the adaptive adversary exists
+// only on the rounds engine, so a scenario job asking for it is rejected
+// at submit with an error wrapping sim.ErrAdaptiveAsync instead of
+// failing after it queued.
+func TestValidateRejectsAdaptiveScenario(t *testing.T) {
+	spec := JobSpec{Kind: KindScenario, Scenario: "adaptive-crash:b=3", D: 16, N: 8, Trials: 2}
+	spec.Normalize()
+	if err := spec.Validate(); !errors.Is(err, sim.ErrAdaptiveAsync) {
+		t.Fatalf("Validate = %v, want an error wrapping sim.ErrAdaptiveAsync", err)
+	}
 	svc, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close(context.Background())
+	if _, err := svc.Submit(spec); !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("Submit = %v, want ErrInvalidSpec", err)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected spec registered %d job(s)", len(jobs))
+	}
+}
 
-	// A random walk at D=128 burns the full 512·D² budget per trial —
-	// far longer than this test waits — unless cancellation abandons it.
-	job, err := svc.Submit(JobSpec{Kind: KindScenario, Scenario: "open",
-		Algo: "random-walk", D: 128, N: 1, Trials: 3, Seed: 1})
+// TestCancelRunningScenarioJobAtPointBoundary: a scenario job is a
+// one-point grid job, so cancelling it while its engine call is in flight
+// lets the call finish, commits the point to the cache, and only then
+// ends the job cancelled — no engine call outlives its job. A resubmit of
+// the same spec is then a cache hit whose artifacts equal an uncancelled
+// run's. The kernel is gated on channels, so the interleaving is fixed
+// rather than timed.
+func TestCancelRunningScenarioJobAtPointBoundary(t *testing.T) {
+	svc, err := New(Config{Workers: 1, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return mustJob(t, svc, job.ID).State == StateRunning })
-	start := time.Now()
+	defer svc.Close(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	var gate, unblock sync.Once
+	defer unblock.Do(func() { close(release) }) // a failing test must not leave Close waiting on the kernel
+	var kernelReturned atomic.Bool
+	svc.execute = func(ctx context.Context, rec *record) ([]byte, []byte, error) {
+		spec := rec.snapshot().Spec
+		g, point, label, err := spec.ResolveGrid()
+		if err != nil {
+			return nil, nil, err
+		}
+		gated := func(p sweep.Point, c sweep.Ctx) (*sweep.Result, error) {
+			gate.Do(func() { close(started); <-release })
+			res, err := point(p, c)
+			kernelReturned.Store(true)
+			return res, err
+		}
+		return svc.runGrid(ctx, rec, spec, g, gated, label)
+	}
+
+	spec := JobSpec{Kind: KindScenario, Scenario: "open", Algo: "random-walk", D: 8, N: 4, Trials: 3, Seed: 1}
+	job, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the engine call is in flight
 	if _, err := svc.Cancel(job.ID); err != nil {
 		t.Fatal(err)
 	}
+	unblock.Do(func() { close(release) })
 	final := waitTerminal(t, svc, job.ID)
 	if final.State != StateCancelled {
 		t.Fatalf("state after cancel = %s (%s), want cancelled", final.State, final.Error)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("cancellation took %s; the engine call was not abandoned", elapsed)
+	if !kernelReturned.Load() {
+		t.Fatal("the job ended cancelled while its engine call was still running")
+	}
+
+	again, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, svc, again.ID); final.State != StateDone || final.CacheHits != 1 || final.Done != 1 || final.Total != 1 {
+		t.Fatalf("resubmitted job = %s (%s), done %d/%d, cache_hits %d; want done 1/1 with 1 cache hit",
+			final.State, final.Error, final.Done, final.Total, final.CacheHits)
+	}
+
+	plain, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close(context.Background())
+	ref, err := plain.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, plain, ref.ID); final.State != StateDone {
+		t.Fatalf("uncancelled job ended %s (%s)", final.State, final.Error)
+	}
+	for _, format := range []string{"json", "csv"} {
+		got, err := svc.Artifact(again.ID, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Artifact(ref.ID, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s artifact of the cache-served job differs from an uncancelled run:\n%s\nvs\n%s", format, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -65,44 +64,24 @@ func ParseShardArtifact(data []byte) (*ShardArtifact, error) {
 	return &art, nil
 }
 
-// executeGrid runs the requested points of a grid job — a shard of a
-// registered sweep (KindShard) or a batch of synthesis candidates
-// (KindSynth), empty Points meaning the whole grid — and returns them as
-// a ShardArtifact: the worker half of distributed grid work
-// (internal/cluster). With a CacheDir, points the worker already holds
-// are served as cache hits (no kernel call), which is what makes cache
-// federation ship metadata instead of recomputation.
-func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([]byte, []byte, error) {
-	g, point, label, err := spec.ResolveGrid()
-	if err != nil {
-		return nil, nil, err
-	}
-	idxs := spec.Points
-	if len(idxs) == 0 {
-		idxs = make([]int, g.Size())
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-	rec.setTotal(len(idxs))
-	opts, err := s.gridOptions(rec, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	prs, err := sweep.RunPointsContext(ctx, g, idxs, point, opts)
-	if err != nil {
-		return nil, nil, err
-	}
+// shardArtifacts renders a shard or synth job's computed points as a
+// ShardArtifact, the worker half of distributed grid work
+// (internal/cluster), plus a CSV of the summary table restricted to the
+// job's rows (handy for eyeballing, not used by the coordinator). With a
+// CacheDir, points the worker already held were served as cache hits (no
+// kernel call), which is what makes cache federation ship metadata
+// instead of recomputation.
+func shardArtifacts(spec JobSpec, label string, rep *sweep.Report) ([]byte, []byte, error) {
 	art := &ShardArtifact{
 		SchemaVersion: ShardArtifactSchemaVersion,
 		Sweep:         label,
-		Grid:          g.Name,
-		GridVersion:   g.Version,
+		Grid:          rep.Grid.Name,
+		GridVersion:   rep.Grid.Version,
 		Seed:          spec.Seed,
-		Trials:        g.Trials,
-		Points:        make([]ShardPoint, len(prs)),
+		Trials:        rep.Grid.Trials,
+		Points:        make([]ShardPoint, len(rep.Points)),
 	}
-	for i, pr := range prs {
+	for i, pr := range rep.Points {
 		art.Points[i] = ShardPoint{
 			Index:  pr.Point.Index,
 			Params: pr.Point.Params,
@@ -115,17 +94,15 @@ func (s *Service) executeGrid(ctx context.Context, rec *record, spec JobSpec) ([
 		return nil, nil, err
 	}
 	jsonB = append(jsonB, '\n')
-	// The CSV rendering reuses the summary table restricted to the job's
-	// rows — handy for eyeballing a shard, not used by the coordinator.
-	rep := &sweep.Report{Grid: g, Seed: spec.Seed, Points: prs}
 	return jsonB, []byte(rep.Summary().CSV()), nil
 }
 
-// gridOptions are the sweep options every grid job runs under, mirroring
+// gridOptions are the sweep options every job runs under, mirroring
 // `antsim -sweep`: the spec's seed, point-level sharding as the
 // parallelism with each point's engines single-threaded, the daemon's
 // cache with resume, and per-point progress into the job record and the
-// daemon's counters.
+// daemon's counters. A scenario grid has one point, so there the spec's
+// Workers keeps its documented meaning: the engine worker bound.
 func (s *Service) gridOptions(rec *record, spec JobSpec) (sweep.Options, error) {
 	opts := sweep.Options{
 		Seed:    spec.Seed,
@@ -138,6 +115,9 @@ func (s *Service) gridOptions(rec *record, spec JobSpec) (sweep.Options, error) 
 			}
 			rec.progress(p.Done, p.Total, p.Point.String(), p.Cached)
 		},
+	}
+	if spec.Kind == KindScenario {
+		opts.Shards, opts.Workers = 1, spec.Workers
 	}
 	if s.cfg.CacheDir != "" {
 		cache, err := sweep.NewCache(s.cfg.CacheDir)
